@@ -26,6 +26,7 @@ from .oracle import (
     brute_histograms,
     brute_scalar,
     brute_values,
+    eval_at_memo,
     verify_scheme,
 )
 from .poly import ModPoly, ParseError, ensure_prime, parse_poly
@@ -44,7 +45,6 @@ from .scheme import (
 from .sequence import (
     RltReport,
     eval_at,
-    eval_at_memo,
     eval_histogram_at,
     rlt_check,
     rlt_expand,

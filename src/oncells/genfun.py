@@ -1,6 +1,7 @@
 """Exact rational generating functions for the sparse subsequence.
 
-With M the top-digit (p-1) matrix and c(0) the base vector, the generating
+With M the top-digit matrix (M[j][l] is how often l+1 occurs in the digit
+p-1 multiset of state j+1) and c(0) the base vector, the generating
 functions f_j(t) of the values at n = p^k - 1 satisfy the linear system
 (I - t*M) f = c(0).  Solving it exactly (Cramer's rule with fraction-free
 Bareiss determinants over integer polynomials) proves f_1 rational with
@@ -207,9 +208,9 @@ def gf_prove(scheme: Scheme, state: int = 1, solve_limit: int = 64) -> RationalG
         raise ValueError(f"state {state} out of range 1..{m}")
     if m > solve_limit:
         raise LimitError(f"{m} states exceeds the exact-solve limit {solve_limit}")
-    top = scheme.digit_matrix(scheme.p - 1)
+    top = [row[scheme.p - 1] for row in scheme.transitions]
     system = [
-        [_trim([1 if j == l else 0, -top[j][l]]) for l in range(m)]
+        [_trim([1 if j == l else 0, -top[j].count(l + 1)]) for l in range(m)]
         for j in range(m)
     ]
     den = _poly_matrix_det(system)

@@ -1,10 +1,13 @@
-"""Brute-force ground truth and whole-scheme verification.
+"""Independent reference routes and whole-scheme verification.
 
-Values are recomputed from the definition: multiply out Q * P^n one factor
-of P at a time, reducing coefficients mod p after every step, then sum or
-tally the coefficients.  The multiplication here is its own plain dict
-convolution, deliberately separate from the fast evaluation path, so the
-two sides of every comparison stay independent.
+Brute force recomputes values from the definition: multiply out Q * P^n one
+factor of P at a time, reducing coefficients mod p after every step, then
+sum or tally the coefficients.  The multiplication here is its own plain
+dict convolution, deliberately separate from the fast evaluation path, so
+the two sides of every comparison stay independent.  The memoized route
+evaluates the digit recurrence demand-driven, only for the states each
+index n // p^k actually needs, as a second check on the fast path at
+indices far beyond brute force.
 """
 
 from __future__ import annotations
@@ -99,6 +102,28 @@ def brute_histograms(
     """Residue histograms for n = 0 .. count-1, sharing one expansion chain."""
     p = poly.p
     return [_histogram(t, p) for t in _product_chain(poly, seed, count, term_limit)]
+
+
+def eval_at_memo(scheme: Scheme, n: int) -> int:
+    """Value at n from the digit multisets, evaluating only the states that are needed.
+
+    Top-down, collect the states whose value is needed at each index
+    n // p^k; then, bottom-up from the base values, compute exactly those.
+    Kept separate from the digit steps in eval_at so the two cross-check.
+    """
+    if n < 0:
+        raise ValueError(f"index must be nonnegative, got {n}")
+    transitions = scheme.transitions
+    levels = []
+    needed = {1}
+    while n:
+        n, digit = divmod(n, scheme.p)
+        levels.append((digit, needed))
+        needed = {l for j in needed for l in transitions[j - 1][digit]}
+    values = {j: scheme.base_scalar[j - 1] for j in needed}
+    for digit, states in reversed(levels):
+        values = {j: sum(values[l] for l in transitions[j - 1][digit]) for j in states}
+    return values[1]
 
 
 @dataclass(frozen=True)
@@ -232,9 +257,8 @@ def verify_scheme(
         CheckResult("recurrence_identity", recurrence_bad is None, counterexample=recurrence_bad)
     )
 
-    zero_mat = scheme.digit_matrix(0)
     base = list(scheme.base_scalar)
-    fixed = [sum(m * v for m, v in zip(row, base)) for row in zero_mat]
+    fixed = [sum(base[l - 1] for l in row[0]) for row in scheme.transitions]
     checks.append(
         CheckResult(
             "base_fixed_point",

@@ -47,19 +47,6 @@ class Scheme:
     def state_count(self) -> int:
         return len(self.states)
 
-    def digit_matrix(self, i: int) -> list[list[int]]:
-        """Multiplicity matrix of digit i: entry [j][l] counts l+1 in transitions[j][i]."""
-        if not 0 <= i < self.p:
-            raise ValueError(f"digit {i} out of range for p={self.p}")
-        m = self.state_count
-        rows = []
-        for j in range(m):
-            row = [0] * m
-            for l in self.transitions[j][i]:
-                row[l - 1] += 1
-            rows.append(row)
-        return rows
-
     def label(self) -> str:
         return f"p={self.p} poly={self.poly} q0={self.states[0]}"
 
@@ -192,16 +179,17 @@ def scheme_from_dict(data: dict) -> Scheme:
         if len(row) != p:
             raise ValueError("each state needs one multiset per digit")
         for multiset in row:
+            # exact int: JSON true would otherwise pass as 1
+            for idx in multiset:
+                if type(idx) is not int or not 1 <= idx <= m:
+                    raise ValueError(f"state index {idx!r} out of range 1..{m}")
             if list(multiset) != sorted(multiset):
                 raise ValueError(f"multiset {multiset} is not sorted")
-            for idx in multiset:
-                if not isinstance(idx, int) or not 1 <= idx <= m:
-                    raise ValueError(f"state index {idx} out of range 1..{m}")
     for j, s in enumerate(states):
-        if base_scalar[j] != s.coeff_sum() or not isinstance(base_scalar[j], int):
+        if base_scalar[j] != s.coeff_sum() or type(base_scalar[j]) is not int:
             raise ValueError(f"base_scalar[{j}] does not match state {s}")
         if base_histogram[j] != s.coeff_histogram() or not all(
-            isinstance(c, int) for c in base_histogram[j]
+            type(c) is int for c in base_histogram[j]
         ):
             raise ValueError(f"base_histogram[{j}] does not match state {s}")
 

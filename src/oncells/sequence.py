@@ -1,19 +1,18 @@
 """Fast evaluation of scheme sequences at arbitrary-precision indices.
 
-Writing n in base p as digits i0 (least significant) .. i_{T-1}, the scheme
-value vector satisfies a(n) = M_{i0} * a(n div p), so
-
-    a(n) = M_{i0} M_{i1} ... M_{i_{T-1}} a(0)
-
-computed as T exact integer matrix-vector products from the base vector.
-The sparse subsequence at n = p^k - 1 is k applications of the top-digit
-matrix; for p = 2 many schemes are further determined by it through the
-run-length transform, checked here empirically.
+Writing n in base p as digits i0 (least significant) .. i_{T-1}, the value
+vector a(n) of all states satisfies a_j(p*n + i) = sum of a_l(n) over the
+digit-i multiset S_i(j), so a(n) is T digit steps from the base vector a(0),
+taken from the most significant digit down.  One step with digit i reads
+each transition multiset S_i(j) once; the multisets are the only
+representation of the recurrence.  The sparse subsequence at n = p^k - 1 is
+k top-digit steps; for p = 2 many schemes are further determined by it
+through the run-length transform, checked here empirically.
 """
 
 from __future__ import annotations
 
-import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .scheme import Scheme
@@ -30,87 +29,50 @@ def _digits(n: int, p: int) -> list[int]:
     return out
 
 
-def _mat_vec(mat: list[list[int]], vec: list[int]) -> list[int]:
-    return [sum(m * v for m, v in zip(row, vec)) for row in mat]
+def _step(scheme: Scheme, digit: int, vec: Sequence[int]) -> list[int]:
+    """State vector at p*n + digit from the state vector at n."""
+    return [sum(vec[l - 1] for l in row[digit]) for row in scheme.transitions]
 
 
 def eval_at(scheme: Scheme, n: int) -> int:
-    """Value of the sequence at n, in ceil(log_p n) matrix-vector products."""
-    matrices = [scheme.digit_matrix(i) for i in range(scheme.p)]
-    vec = list(scheme.base_scalar)
+    """Value of the sequence at n, in ceil(log_p n) digit steps."""
+    vec = scheme.base_scalar
     for d in reversed(_digits(n, scheme.p)):
-        vec = _mat_vec(matrices[d], vec)
+        vec = _step(scheme, d, vec)
     return vec[0]
 
 
-def eval_at_memo(scheme: Scheme, n: int) -> int:
-    """Value at n by memoized top-down recursion over the digit multisets.
-
-    An independent route kept deliberately separate from the matrix-product
-    path in eval_at so the two can cross-check each other.
-    """
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    p = scheme.p
-    transitions = scheme.transitions
-    base = scheme.base_scalar
-    cache: dict[tuple[int, int], int] = {}
-
-    def value(j: int, m: int) -> int:
-        if m == 0:
-            return base[j]
-        key = (j, m)
-        got = cache.get(key)
-        if got is None:
-            rest, digit = divmod(m, p)
-            got = sum(value(l - 1, rest) for l in transitions[j][digit])
-            cache[key] = got
-        return got
-
-    # recursion depth tracks the digit count of n
-    depth = len(_digits(n, p))
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * depth + 100))
-    try:
-        return value(0, n)
-    finally:
-        sys.setrecursionlimit(old_limit)
-
-
 def eval_histogram_at(scheme: Scheme, n: int) -> tuple[int, ...]:
-    """Residue histogram at n: the digit-matrix product applied per residue column."""
-    matrices = [scheme.digit_matrix(i) for i in range(scheme.p)]
-    rows = [list(h) for h in scheme.base_histogram]
-    for d in reversed(_digits(n, scheme.p)):
-        mat = matrices[d]
-        rows = [
-            [sum(mat[j][l] * rows[l][c] for l in range(len(rows))) for c in range(scheme.p - 1)]
-            for j in range(len(rows))
-        ]
-    return tuple(rows[0])
+    """Residue histogram at n: the digit steps of eval_at run on each residue column."""
+    digits = _digits(n, scheme.p)[::-1]
+    out = []
+    for vec in zip(*scheme.base_histogram):
+        for d in digits:
+            vec = _step(scheme, d, vec)
+        out.append(vec[0])
+    return tuple(out)
 
 
 def terms_prefix(scheme: Scheme, count: int) -> list[int]:
-    """First `count` sequence values, sharing digit-prefix work across indices."""
+    """First `count` sequence values; each state vector is one step from that at n // p."""
     if count <= 0:
         return []
-    matrices = [scheme.digit_matrix(i) for i in range(scheme.p)]
-    vecs: list[list[int]] = [list(scheme.base_scalar)]
+    vecs = [scheme.base_scalar]
     for n in range(1, count):
         rest, digit = divmod(n, scheme.p)
-        vecs.append(_mat_vec(matrices[digit], vecs[rest]))
+        vecs.append(_step(scheme, digit, vecs[rest]))
     return [v[0] for v in vecs]
 
 
 def sparse_terms(scheme: Scheme, count: int) -> list[int]:
-    """Values at n = p^k - 1 for k = 0..count: powers of the top-digit matrix."""
+    """Values at n = p^k - 1 for k = 0..count: repeated top-digit steps."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    top = scheme.digit_matrix(scheme.p - 1)
-    vec = list(scheme.base_scalar)
+    top = scheme.p - 1
+    vec = scheme.base_scalar
     out = [vec[0]]
     for _ in range(count):
-        vec = _mat_vec(top, vec)
+        vec = _step(scheme, top, vec)
         out.append(vec[0])
     return out
 

@@ -104,9 +104,8 @@ def test_criterion_5_recurrence_identity(corpus):
 def test_criterion_6_fixed_point(corpus):
     ok = True
     for label, p, raw, s in corpus:
-        mat = s.digit_matrix(0)
         base = list(s.base_scalar)
-        ok = ok and [sum(m * v for m, v in zip(row, base)) for row in mat] == base
+        ok = ok and [sum(base[l - 1] for l in row[0]) for row in s.transitions] == base
     report(6, "base vector is an exact fixed point of the digit-0 matrix", ok)
 
 

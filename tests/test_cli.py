@@ -1,7 +1,9 @@
 import json
 from pathlib import Path
 
-from oncells import sparse_terms
+import pytest
+
+from oncells import scheme_from_dict, sparse_terms
 from oncells.cli import main
 
 SCHEMES_DIR = Path(__file__).resolve().parent.parent / "schemes"
@@ -163,6 +165,32 @@ def test_corrupt_scheme_file_rejected(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["eval", "--scheme", str(path), "--n", "1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (("transitions", 0, 0), [True]),
+        (("transitions", 0, 1), ["a", 1]),
+        (("base_scalar", 0), True),
+        (("base_histogram", 0), [True]),
+    ],
+    ids=["index-true", "index-str", "base-scalar-true", "histogram-true"],
+)
+def test_non_integer_scheme_entries_rejected(tmp_path, capsys, field, value):
+    # JSON true equals 1 and is an int subclass in Python; it must still be refused
+    data = json.loads((SCHEMES_DIR / "p2-univariate-quadratic.json").read_text())
+    *path, last = field
+    target = data
+    for key in path:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ValueError):
+        scheme_from_dict(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["eval", "--scheme", str(bad), "--n", "5"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_shipped_schemes_check_clean(capsys):

@@ -95,9 +95,10 @@ def test_gf_verify(toy):
 def test_denominator_divides_system_determinant(corpus):
     for _, _, _, s in corpus:
         m = s.state_count
-        top = s.digit_matrix(s.p - 1)
+        top = [row[s.p - 1] for row in s.transitions]
         system = [
-            [_trim([1 if j == l else 0, -top[j][l]]) for l in range(m)] for j in range(m)
+            [_trim([1 if j == l else 0, -top[j].count(l + 1)]) for l in range(m)]
+            for j in range(m)
         ]
         det = _poly_matrix_det(system)
         gf = gf_prove(s)

@@ -86,16 +86,6 @@ def test_max_states():
         synthesize(parse_poly("1+x+x^2", X, 2), max_states=1)
 
 
-def test_digit_matrices(toy, base3):
-    assert toy.digit_matrix(1) == [[1, 1], [2, 0]]
-    assert toy.digit_matrix(0) == [[1, 0], [2, 0]]
-    assert base3.digit_matrix(2) == [[2, 1], [1, 2]]
-    with pytest.raises(ValueError):
-        toy.digit_matrix(2)
-    with pytest.raises(ValueError):
-        toy.digit_matrix(-1)
-
-
 def test_degree_bounds():
     p1 = parse_poly("1+x+x^2", X, 2)
     assert degree_bounds(p1, ModPoly.one(2, X)) == (2,)
@@ -115,9 +105,8 @@ def test_states_respect_degree_bounds(corpus):
 
 def test_base_is_digit0_fixed_point(corpus):
     for _, _, _, s in corpus:
-        mat = s.digit_matrix(0)
         base = list(s.base_scalar)
-        assert [sum(m * v for m, v in zip(row, base)) for row in mat] == base
+        assert [sum(base[l - 1] for l in row[0]) for row in s.transitions] == base
 
 
 def test_recurrence_identity_small(base3):

@@ -1,15 +1,20 @@
 import random
+import sys
 
 import pytest
 
 import oncells.sequence as sequence
 from oncells import (
+    brute_histograms,
+    brute_values,
     eval_at,
     eval_at_memo,
     eval_histogram_at,
+    parse_poly,
     rlt_check,
     rlt_expand,
     sparse_terms,
+    synthesize,
     terms_prefix,
 )
 
@@ -111,15 +116,40 @@ def test_memo_path_handles_huge_indices(toy):
     assert eval_at_memo(toy, n) == eval_at(toy, n)
 
 
+def test_memo_path_leaves_recursion_limit_alone(toy, monkeypatch):
+    def refuse(limit):
+        raise AssertionError("eval_at_memo must not change the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    assert eval_at_memo(toy, 2**5000 - 1) == sparse_terms(toy, 5000)[-1]
+
+
+@pytest.mark.parametrize(
+    "text, p, states",
+    [("1+x+x^2", 5, 20), ("1+x+x^4+x^5+x^6", 2, 32)],
+)
+def test_larger_schemes_match_oracles(text, p, states):
+    # multi-element multisets well beyond the m <= 4 corpus
+    s = synthesize(parse_poly(text, ("x",), p))
+    assert s.state_count == states
+    rng = random.Random(states)
+    for _ in range(200):
+        n = rng.randrange(2**200)
+        assert eval_at(s, n) == eval_at_memo(s, n)
+    assert terms_prefix(s, 64) == brute_values(s.poly, s.states[0], 64)
+    hists = [eval_histogram_at(s, n) for n in range(64)]
+    assert hists == brute_histograms(s.poly, s.states[0], 64)
+
+
 def test_eval_cost_is_digit_count(toy, monkeypatch):
     calls = []
-    original = sequence._mat_vec
+    original = sequence._step
 
-    def counting(mat, vec):
+    def counting(scheme, digit, vec):
         calls.append(1)
-        return original(mat, vec)
+        return original(scheme, digit, vec)
 
-    monkeypatch.setattr(sequence, "_mat_vec", counting)
+    monkeypatch.setattr(sequence, "_step", counting)
     n = 10**100
     eval_at(toy, n)
     digit_count = len(sequence._digits(n, 2))
