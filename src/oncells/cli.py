@@ -69,9 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gf = sub.add_parser("gf", help="generating function of the sparse subsequence")
     gf.add_argument("--scheme", required=True)
-    gf.add_argument("--guess", action="store_true", help="fit from terms instead of solving")
+    gf.add_argument("--guess", action="store_true", help="fit --budget terms and verify them")
     gf.add_argument("--budget", type=int, help="terms for --guess (default 2m+2)")
-    gf.add_argument("--solve-limit", type=int, default=64)
     gf.add_argument("--json", action="store_true")
 
     check = sub.add_parser("check", help="verify a scheme against the brute-force oracle")
@@ -175,7 +174,7 @@ def _cmd_gf(args) -> int:
             print("guessed generating function failed verification", file=sys.stderr)
             return EXIT_VERIFY
     else:
-        gf = gf_prove(scheme, solve_limit=args.solve_limit)
+        gf = gf_prove(scheme)
     if args.json:
         sys.stdout.write(gf_to_json(gf))
     else:
@@ -185,10 +184,7 @@ def _cmd_gf(args) -> int:
 
 def _cmd_check(args) -> int:
     scheme = load_scheme(args.scheme)
-    gf = None
-    if scheme.state_count <= 64:
-        gf = gf_prove(scheme)
-    report = verify_scheme(scheme, args.nmax, gf=gf, rlt_limit=args.rlt_limit)
+    report = verify_scheme(scheme, args.nmax, gf=gf_prove(scheme), rlt_limit=args.rlt_limit)
     if args.json:
         sys.stdout.write(report.to_json())
     else:

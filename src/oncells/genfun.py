@@ -1,13 +1,15 @@
 """Exact rational generating functions for the sparse subsequence.
 
 With M the top-digit matrix (M[j][l] is how often l+1 occurs in the digit
-p-1 multiset of state j+1) and c(0) the base vector, the generating
-functions f_j(t) of the values at n = p^k - 1 satisfy the linear system
-(I - t*M) f = c(0).  Solving it exactly (Cramer's rule with fraction-free
-Bareiss determinants over integer polynomials) proves f_1 rational with
-denominator dividing det(I - t*M); alternatively f_1 can be fitted from
-generated terms, which is provably correct once 2m+2 terms agree because
-both numerator and denominator degrees are bounded by the state count m.
+p-1 multiset of state j+1) and c(0) the base vector, the values of state j
+at n = p^k - 1 are e_j^T M^k c(0).  They obey the linear recurrence given
+by the minimal polynomial of M, of order at most the state count m, so
+their generating function is rational.  One algorithm finds it:
+Berlekamp-Massey returns the shortest linear recurrence that generates a
+finite prefix, and a recurrence of order L that generates 2L terms is the
+unique shortest one (Massey, IEEE Trans. IT 15(1), 1969).  Fitting 2m terms
+therefore proves the generating function; fitting fewer gives it whenever
+the true order is at most half the number of terms.
 
 Univariate integer polynomials are plain ascending coefficient lists with
 no trailing zeros; [] is the zero polynomial.
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .scheme import LimitError, Scheme
-from .sequence import sparse_terms
+from .scheme import Scheme
+from .sequence import _top_orbit, sparse_terms
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,7 @@ class RationalGF:
 
     num and den are ascending integer coefficient tuples, gcd(num, den) = 1
     over the rationals, and den(0) = 1.  rigorous records whether the object
-    was proved (solved exactly, or fitted with enough terms to be forced).
+    was fitted from enough terms to be forced.
     """
 
     num: tuple[int, ...]
@@ -51,27 +53,6 @@ def _trim(coeffs: list[int]) -> list[int]:
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-def _padd(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    return _trim([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n)])
-
-
-def _psub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    return _trim([(a[k] if k < len(a) else 0) - (b[k] if k < len(b) else 0) for k in range(n)])
-
-
-def _pmul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
 
 
 def _pdiv_exact(a: list[int], b: list[int]) -> list[int]:
@@ -166,126 +147,59 @@ def make_gf(num, den, rigorous: bool = True) -> RationalGF:
     return RationalGF(num=tuple(num_i), den=tuple(den_i), rigorous=rigorous)
 
 
-def _poly_matrix_det(mat: list[list[list[int]]]) -> list[int]:
-    """Determinant of a matrix of integer polynomials by fraction-free elimination.
+def _fit(terms: list[int], rigorous: bool) -> RationalGF:
+    """Berlekamp-Massey: the shortest linear recurrence generating `terms`, as num/den.
 
-    One-step Bareiss: all intermediate entries stay in Z[t] because each
-    division by the previous pivot is exact.
+    conn is the connection polynomial (conn(0) = 1) of the current shortest
+    recurrence, of order `length`; prev is conn as it was before the last
+    order change, whose discrepancy prev_disc lies `shift` terms back.  The
+    denominator is conn and the numerator is conn * terms below t^length.
     """
-    n = len(mat)
-    work = [[list(e) for e in row] for row in mat]
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if not work[k][k]:
-            for r in range(k + 1, n):
-                if work[r][k]:
-                    work[k], work[r] = work[r], work[k]
-                    sign = -sign
-                    break
-            else:
-                return []
-        pivot = work[k][k]
-        for i in range(k + 1, n):
-            row = work[i]
-            for j in range(k + 1, n):
-                numer = _psub(_pmul(row[j], pivot), _pmul(row[k], work[k][j]))
-                row[j] = _pdiv_exact(numer, prev)
-            row[k] = []
-        prev = pivot
-    det = work[n - 1][n - 1]
-    return det if sign == 1 else [-x for x in det]
+    conn, prev = [Fraction(1)], [Fraction(1)]
+    length, shift, prev_disc = 0, 1, Fraction(1)
+    for k in range(len(terms)):
+        disc = sum(conn[j] * terms[k - j] for j in range(min(k + 1, len(conn))))
+        if disc == 0:
+            shift += 1
+            continue
+        new = conn + [Fraction(0)] * (len(prev) + shift - len(conn))
+        factor = disc / prev_disc
+        for j, b in enumerate(prev):
+            new[j + shift] -= factor * b
+        if 2 * length <= k:
+            length, prev, prev_disc, shift = k + 1 - length, conn, disc, 1
+        else:
+            shift += 1
+        conn = new
+    num = [sum(conn[j] * terms[k - j] for j in range(min(k + 1, len(conn)))) for k in range(length)]
+    return make_gf(num, conn, rigorous=rigorous)
 
 
-def gf_prove(scheme: Scheme, state: int = 1, solve_limit: int = 64) -> RationalGF:
-    """Solve (I - t*M) f = c(0) exactly and return the reduced f for the given state.
+def gf_prove(scheme: Scheme, state: int = 1) -> RationalGF:
+    """Generating function of the given state's values at n = p^k - 1, proved.
 
-    Raises LimitError when the state count exceeds solve_limit; callers may
-    fall back to gf_guess, which fits from terms instead of solving.
+    Those values are e_state^T M^k c(0), so they obey the recurrence of the
+    minimal polynomial of M, of order at most m; the fit of the first 2m
+    terms is therefore the generating function itself.
     """
     m = scheme.state_count
     if not 1 <= state <= m:
         raise ValueError(f"state {state} out of range 1..{m}")
-    if m > solve_limit:
-        raise LimitError(f"{m} states exceeds the exact-solve limit {solve_limit}")
-    top = [row[scheme.p - 1] for row in scheme.transitions]
-    system = [
-        [_trim([1 if j == l else 0, -top[j].count(l + 1)]) for l in range(m)]
-        for j in range(m)
-    ]
-    den = _poly_matrix_det(system)
-    for j in range(m):
-        system[j][state - 1] = _trim([scheme.base_scalar[j]])
-    num = _poly_matrix_det(system)
-    return make_gf(num, den, rigorous=True)
-
-
-def _solve_fractions(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Exact Gaussian elimination; free variables are set to 0; None if inconsistent."""
-    n_eq = len(rows)
-    n_var = len(rows[0]) if n_eq else 0
-    aug = [rows[i][:] + [rhs[i]] for i in range(n_eq)]
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(n_var):
-        pivot = next((i for i in range(r, n_eq) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n_eq):
-            if i != r and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == n_eq:
-            break
-    for i in range(r, n_eq):
-        if aug[i][n_var] != 0:
-            return None
-    solution = [Fraction(0)] * n_var
-    for i, col in enumerate(pivot_cols):
-        solution[col] = aug[i][n_var]
-    return solution
+    return _fit([vec[state - 1] for vec in _top_orbit(scheme, 2 * m - 1)], rigorous=True)
 
 
 def gf_guess(scheme: Scheme, budget: int) -> RationalGF:
     """Fit the sparse-subsequence generating function from `budget` terms.
 
-    Tries denominator degrees 0..m (m the state count) in order, solving the
-    Hankel-windowed linear system for the denominator exactly and recovering
-    the numerator by truncated multiplication, so the answer has minimal
-    denominator degree.  The result is flagged rigorous when budget >= 2m+2,
-    which pins the fraction uniquely given the degree bounds.
+    The fit is the shortest recurrence those terms admit, so it is the true
+    generating function whenever budget is at least twice its order.  The
+    result is flagged rigorous when budget >= 2m+2, which covers every
+    order the degree bound m (the state count) allows.
     """
     m = scheme.state_count
     if budget < m + 2:
         raise ValueError(f"term budget {budget} too small; need at least {m + 2}")
-    c = [Fraction(v) for v in sparse_terms(scheme, budget - 1)]
-    window = range(m + 1, budget)
-    for d in range(m + 1):
-        if d == 0:
-            if any(c[k] != 0 for k in window):
-                continue
-            den_f = [Fraction(1)]
-        else:
-            rows = [[c[k - j] for j in range(1, d + 1)] for k in window]
-            rhs = [-c[k] for k in window]
-            tail = _solve_fractions(rows, rhs)
-            if tail is None:
-                continue
-            den_f = [Fraction(1)] + tail
-        num_f = [
-            sum(den_f[j] * c[k - j] for j in range(min(d, k) + 1))
-            for k in range(min(m + 1, budget))
-        ]
-        return make_gf(num_f, den_f, rigorous=budget >= 2 * m + 2)
-    raise RuntimeError(
-        f"no rational function with degrees <= {m} fits the first {budget} terms; "
-        "the scheme is inconsistent"
-    )
+    return _fit(sparse_terms(scheme, budget - 1), rigorous=budget >= 2 * m + 2)
 
 
 def gf_series(gf: RationalGF, count: int) -> list[int]:

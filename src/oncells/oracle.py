@@ -194,8 +194,10 @@ def verify_scheme(
     Checks, in order: sequence and histogram values for state 1 on n < n_max;
     the per-state digit recurrence for n < n_max // p; the digit-0 fixed
     point of the base vector; sparse terms against direct evaluation; series
-    coefficients of an attached generating function; and (p = 2 only,
-    informational) the run-length-transform factorization.
+    coefficients of an attached generating function, over 2m + sparse_count
+    + 1 terms so that the check reads past the 2m terms a fit determines
+    (m the state count); and (p = 2 only, informational) the
+    run-length-transform factorization.
     """
     p = scheme.p
     checks: list[CheckResult] = []
@@ -267,7 +269,7 @@ def verify_scheme(
         )
     )
 
-    sparse = sparse_terms(scheme, sparse_count)
+    sparse = sparse_terms(scheme, 2 * scheme.state_count + sparse_count)
     bad_k = next(
         (k for k in range(sparse_count + 1) if sparse[k] != eval_at(scheme, p**k - 1)), None
     )
@@ -282,8 +284,8 @@ def verify_scheme(
     )
 
     if gf is not None:
-        series = gf_series(gf, sparse_count + 1)
-        bad_k = next((k for k in range(sparse_count + 1) if series[k] != sparse[k]), None)
+        series = gf_series(gf, len(sparse))
+        bad_k = next((k for k, v in enumerate(series) if v != sparse[k]), None)
         checks.append(
             CheckResult(
                 "series_agreement",

@@ -119,6 +119,37 @@ def test_gf(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "(1+2*t)/(1-t-2*t^2)"
 
 
+def test_gf_guess_low_budget(capsys):
+    # 4 terms already fix the order-2 recurrence, though not the rigor bound 2m+2
+    scheme = str(SCHEMES_DIR / "p2-univariate-quadratic.json")
+    assert main(["gf", "--scheme", scheme, "--guess", "--budget", "4", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "num": [1, 2],
+        "den": [1, -1, -2],
+        "rigorous": False,
+    }
+
+
+@pytest.fixture(scope="module")
+def r8(tmp_path_factory):
+    """1+x+x^3+x^5+x^8 mod 2: 128 states."""
+    path = tmp_path_factory.mktemp("r8") / "r8.json"
+    rc = main(["synth", "-p", "2", "--vars", "x", "--poly", "1+x+x^3+x^5+x^8", "-o", str(path)])
+    assert rc == 0
+    return str(path)
+
+
+def test_gf_and_check_beyond_64_states(r8, capsys):
+    assert main(["gf", "--scheme", r8, "--json"]) == 0
+    gf = json.loads(capsys.readouterr().out)
+    assert gf["rigorous"] is True
+    assert gf["den"] == [1, -2, 0, 0, 0, 0, 0, 0, -1, 2]
+    assert main(["check", "--scheme", r8, "--nmax", "8"]) == 0
+    out = capsys.readouterr().out
+    assert "pass      series_agreement" in out
+    assert "result: OK" in out
+
+
 def test_check(tmp_path, capsys):
     scheme = synth_toy(tmp_path / "toy.json")
     assert main(["check", "--scheme", scheme, "--nmax", "64"]) == 0
@@ -150,10 +181,8 @@ def test_invalid_input_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_resource_limit_exit_codes(tmp_path, capsys):
+def test_resource_limit_exit_codes(capsys):
     assert main(["synth", "-p", "2", "--vars", "x", "--poly", "1+x+x^2", "--max-states", "1"]) == 3
-    scheme = synth_toy(tmp_path / "toy.json")
-    assert main(["gf", "--scheme", scheme, "--solve-limit", "1"]) == 3
     capsys.readouterr()
 
 

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oncells import (
     LimitError,
+    ModPoly,
     RationalGF,
     gf_guess,
     gf_prove,
@@ -14,7 +17,98 @@ from oncells import (
     sparse_terms,
     synthesize,
 )
-from oncells.genfun import _pdiv_exact, _pmul, _poly_matrix_det, _trim
+from oncells.genfun import _pdiv_exact, _trim
+
+# The generating function of every bench corpus member: (name, expression,
+# variables, p, num, den).
+CORPUS_GF = [
+    ("p2-univariate-linear", "1+x", ("x",), 2, (1,), (1, -2)),
+    ("p2-univariate-quadratic", "1+x+x^2", ("x",), 2, (1, 2), (1, -1, -2)),
+    ("p3-univariate-linear", "1+x", ("x",), 3, (1,), (1, -4, 3)),
+    ("p3-univariate-quadratic", "1+x+x^2", ("x",), 3, (1, 3), (1, -3)),
+    ("p2-bivariate-block", "1+x+y+x*y", ("x", "y"), 2, (1,), (1, -4)),
+    ("p2-bivariate-cross", "x^-1+x+y^-1+y", ("x", "y"), 2, (1,), (1, -4)),
+    ("c5", "1+x+x^2", ("x",), 5, (1, 11), (1, -5, -1, 5)),
+    ("c7", "1+x+x^2", ("x",), 7, (1, 21), (1, -8, 7)),
+    ("c11", "1+x+x^2", ("x",), 11, (1, 67, 22), (1, -11, -1, 11)),
+    ("q5", "1+x+x^2+x^3", ("x",), 5, (1, 10), (1, -6, 5)),
+    ("r6", "1+x+x^4+x^5+x^6", ("x",), 2, (1, 4, 6, -3, -2), (1, -1, -2, -1, 1, 2)),
+    (
+        "r8",
+        "1+x+x^3+x^5+x^8",
+        ("x",),
+        2,
+        (1, 3, 5, 5, -9, 5, 1, 5, -6),
+        (1, -2, 0, 0, 0, 0, 0, 0, -1, 2),
+    ),
+    (
+        "t3",
+        "(1+x+x^2)*(1+y+y^2)*(1+z+z^2)-x*y*z",
+        ("x", "y", "z"),
+        2,
+        (1, 6, -317, 1718, 5420, -59432, 61312, 428928, -887296, -260096, 737280),
+        (1, -20, 79, 744, -5720, -3072, 101936, -127616, -563968, 1090560, 348160, -884736),
+    ),
+]
+
+
+def _psub(a: list, b: list) -> list:
+    n = max(len(a), len(b))
+    return _trim([(a[k] if k < len(a) else 0) - (b[k] if k < len(b) else 0) for k in range(n)])
+
+
+def _pmul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim(out)
+
+
+def _poly_matrix_det(mat: list[list[list[int]]]) -> list[int]:
+    """Determinant of a matrix of integer polynomials by fraction-free elimination.
+
+    One-step Bareiss: all intermediate entries stay in Z[t] because each
+    division by the previous pivot is exact.  The reference for the
+    denominator property, independent of the fit in gf_prove.
+    """
+    n = len(mat)
+    work = [[list(e) for e in row] for row in mat]
+    sign = 1
+    prev = [1]
+    for k in range(n - 1):
+        if not work[k][k]:
+            for r in range(k + 1, n):
+                if work[r][k]:
+                    work[k], work[r] = work[r], work[k]
+                    sign = -sign
+                    break
+            else:
+                return []
+        pivot = work[k][k]
+        for i in range(k + 1, n):
+            row = work[i]
+            for j in range(k + 1, n):
+                numer = _psub(_pmul(row[j], pivot), _pmul(row[k], work[k][j]))
+                row[j] = _pdiv_exact(numer, prev)
+            row[k] = []
+        prev = pivot
+    det = work[n - 1][n - 1]
+    return det if sign == 1 else [-x for x in det]
+
+
+def _system_det(s) -> list[int]:
+    """det(I - t*M) for the top-digit matrix M of scheme s."""
+    m = s.state_count
+    top = [row[s.p - 1] for row in s.transitions]
+    system = [
+        [_trim([1 if j == l else 0, -top[j].count(l + 1)]) for l in range(m)]
+        for j in range(m)
+    ]
+    return _poly_matrix_det(system)
 
 
 def test_gf_prove_toy(toy):
@@ -37,11 +131,6 @@ def test_gf_prove_base3(base3):
     gf = gf_prove(base3)
     assert gf.num == (1,)
     assert gf.den == (1, -4, 3)
-
-
-def test_gf_prove_solve_limit(toy):
-    with pytest.raises(LimitError):
-        gf_prove(toy, solve_limit=1)
 
 
 def test_gf_guess_matches_prove(toy, base3):
@@ -94,16 +183,45 @@ def test_gf_verify(toy):
 
 def test_denominator_divides_system_determinant(corpus):
     for _, _, _, s in corpus:
-        m = s.state_count
-        top = [row[s.p - 1] for row in s.transitions]
-        system = [
-            [_trim([1 if j == l else 0, -top[j].count(l + 1)]) for l in range(m)]
-            for j in range(m)
-        ]
-        det = _poly_matrix_det(system)
+        det = _system_det(s)
         gf = gf_prove(s)
         quotient = _pdiv_exact(det, list(gf.den))  # raises if not exact
         assert _pmul(quotient, list(gf.den)) == det
+
+
+@pytest.mark.parametrize(
+    "expr, vars, p, num, den", [row[1:] for row in CORPUS_GF], ids=[row[0] for row in CORPUS_GF]
+)
+def test_corpus_generating_functions_pinned(expr, vars, p, num, den):
+    s = synthesize(parse_poly(expr, vars, p))
+    proved = gf_prove(s)
+    assert (proved.num, proved.den, proved.rigorous) == (num, den, True)
+    assert gf_guess(s, 2 * s.state_count + 2) == proved
+
+
+@st.composite
+def random_polys(draw):
+    """Nonzero polynomials over Z/p, p in {2, 3, 5}, in one or two variables, Laurent allowed."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    vars = ("x", "y")[: draw(st.integers(1, 2))]
+    exps = st.tuples(*[st.integers(-2, 3)] * len(vars))
+    terms = draw(st.dictionaries(exps, st.integers(1, p - 1), min_size=1, max_size=4))
+    return ModPoly(p, vars, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_polys())
+def test_gf_prove_properties(poly):
+    try:
+        s = synthesize(poly, max_states=64)
+    except LimitError:
+        assume(False)
+    m = s.state_count
+    gf = gf_prove(s)
+    assert gf_series(gf, 2 * m + 8) == sparse_terms(s, 2 * m + 7)
+    assert len(gf.den) - 1 <= m
+    det = _system_det(s)
+    assert _pmul(_pdiv_exact(det, list(gf.den)), list(gf.den)) == det
 
 
 def test_make_gf_normalization():

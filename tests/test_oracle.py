@@ -13,6 +13,7 @@ from oncells import (
     brute_values,
     eval_at,
     gf_prove,
+    make_gf,
     parse_poly,
     verify_scheme,
 )
@@ -117,6 +118,16 @@ def test_verify_scheme_catches_corruption(toy):
         "got": 2,
     }
     assert "FAIL" in report.render_text()
+
+
+def test_series_agreement_reads_past_the_fitted_terms(toy):
+    # (1+2t)/(1-t-2t^2) + t^16: agrees with the toy's sparse terms below
+    # 2m + sparse_count + 1 = 17 and differs at k = 16
+    wrong = make_gf([1, 2] + [0] * 14 + [1, -1, -2], [1, -1, -2])
+    report = verify_scheme(toy, 16, gf=wrong)
+    series = next(c for c in report.checks if c.name == "series_agreement")
+    assert not series.passed
+    assert series.counterexample["k"] == 16
 
 
 def test_verify_scheme_catches_bad_base(toy):
