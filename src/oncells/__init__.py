@@ -16,15 +16,12 @@ from .genfun import (
     gf_to_dict,
     gf_to_json,
     gf_to_text,
-    gf_verify,
     make_gf,
 )
 from .oracle import (
     CheckResult,
     VerificationReport,
-    brute_histogram,
     brute_histograms,
-    brute_scalar,
     brute_values,
     eval_at_memo,
     verify_scheme,
@@ -63,9 +60,7 @@ __all__ = [
     "RltReport",
     "Scheme",
     "VerificationReport",
-    "brute_histogram",
     "brute_histograms",
-    "brute_scalar",
     "brute_values",
     "degree_bounds",
     "ensure_prime",
@@ -78,7 +73,6 @@ __all__ = [
     "gf_to_dict",
     "gf_to_json",
     "gf_to_text",
-    "gf_verify",
     "load_scheme",
     "make_gf",
     "parse_poly",

@@ -6,8 +6,9 @@ prefix of the sequence), sparse (the subsequence at p^k - 1), gf (proved
 or guessed generating function), check (verify a scheme against the
 brute-force oracle).
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 resource limit exceeded.
+Each command builds its whole output before writing it.  Exit codes: 0
+success, 1 verification failure, 2 invalid input, 3 resource limit (state
+cap, brute-force work budget, or an integer too long for str()).
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 
-from .genfun import gf_guess, gf_prove, gf_to_json, gf_to_text, gf_verify
+from .genfun import gf_guess, gf_prove, gf_to_json, gf_to_text
 from .oracle import verify_scheme
 from .poly import ParseError, parse_poly
 from .scheme import LimitError, load_scheme, scheme_to_json, synthesize
@@ -26,10 +28,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
-
-
-def _print_json(obj) -> None:
-    print(json.dumps(obj))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gf = sub.add_parser("gf", help="generating function of the sparse subsequence")
     gf.add_argument("--scheme", required=True)
-    gf.add_argument("--guess", action="store_true", help="fit --budget terms and verify them")
+    gf.add_argument("--guess", action="store_true", help="fit the first --budget sparse terms")
     gf.add_argument("--budget", type=int, help="terms for --guess (default 2m+2)")
     gf.add_argument("--json", action="store_true")
 
@@ -82,22 +80,60 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _digit_limit() -> int:
+    """Most decimal digits str() converts, 0 for no limit (interpreters before 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _printable(values: Iterable[int]) -> None:
+    """Raise LimitError if an output integer has more decimal digits than str() converts."""
+    limit = _digit_limit()
+    if limit:
+        bound = 10**limit
+        if any(abs(v) >= bound for v in values):
+            raise LimitError(f"output integer has more than {limit} decimal digits")
+
+
+def _json(obj) -> str:
+    return json.dumps(obj) + "\n"
+
+
+def _lines(values: list[int]) -> str:
+    return "".join(f"{v}\n" for v in values)
+
+
+def _hist_line(n: int, hist: list[int]) -> str:
+    return f"{n} " + ",".join(str(c) for c in hist) + "\n"
+
+
 def _parse_index(args, p: int) -> int:
+    """The requested index; LimitError, before it is built, if it cannot be printed."""
+    limit = _digit_limit()
+    too_long = f"index has more than {limit} decimal digits"
     if args.n is not None:
         text = args.n.strip()
         if not text.isdigit():
             raise ValueError(f"--n must be a nonnegative decimal integer, got {text!r}")
-        return int(text)
-    if args.pow is not None:
+        if limit and len(text) > limit:
+            raise LimitError(too_long)
+        n = int(text)
+    elif args.pow is not None:
         if args.pow < 0:
             raise ValueError("--pow must be nonnegative")
-        return p**args.pow - 1
-    if args.npow10 < 0:
-        raise ValueError("--npow10 must be nonnegative")
-    return 10**args.npow10
+        if limit and args.pow > 4 * limit:  # p^K >= 2^K = 16^(K/4) > 10^limit
+            raise LimitError(too_long)
+        n = p**args.pow - 1
+    else:
+        if args.npow10 < 0:
+            raise ValueError("--npow10 must be nonnegative")
+        if limit and args.npow10 >= limit:
+            raise LimitError(too_long)
+        n = 10**args.npow10
+    _printable([n])
+    return n
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> tuple[int, str]:
     vars = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     if not vars:
         raise ValueError("--vars must name at least one variable")
@@ -108,88 +144,63 @@ def _cmd_synth(args) -> int:
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+        return EXIT_OK, ""
+    return EXIT_OK, text
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple[int, str]:
     scheme = load_scheme(args.scheme)
     n = _parse_index(args, scheme.p)
     if args.histogram:
-        hist = eval_histogram_at(scheme, n)
-        if args.json:
-            _print_json({"n": str(n), "histogram": list(hist)})
-        else:
-            print(f"{n} " + ",".join(str(c) for c in hist))
-    else:
-        value = eval_at(scheme, n)
-        if args.json:
-            _print_json({"n": str(n), "value": value})
-        else:
-            print(value)
-    return EXIT_OK
+        hist = list(eval_histogram_at(scheme, n))
+        _printable(hist)
+        text = _json({"n": str(n), "histogram": hist}) if args.json else _hist_line(n, hist)
+        return EXIT_OK, text
+    value = eval_at(scheme, n)
+    _printable([value])
+    return EXIT_OK, _json({"n": str(n), "value": value}) if args.json else f"{value}\n"
 
 
-def _cmd_terms(args) -> int:
+def _cmd_terms(args) -> tuple[int, str]:
     if args.count < 0:
         raise ValueError("--count must be nonnegative")
     scheme = load_scheme(args.scheme)
     if args.histogram:
-        rows = [eval_histogram_at(scheme, n) for n in range(args.count)]
+        rows = [list(eval_histogram_at(scheme, n)) for n in range(args.count)]
+        _printable(c for row in rows for c in row)
         if args.json:
-            _print_json({"histograms": [list(r) for r in rows]})
-        else:
-            for n, row in enumerate(rows):
-                print(f"{n} " + ",".join(str(c) for c in row))
-    else:
-        values = terms_prefix(scheme, args.count)
-        if args.json:
-            _print_json({"values": values})
-        else:
-            for v in values:
-                print(v)
-    return EXIT_OK
+            return EXIT_OK, _json({"histograms": rows})
+        return EXIT_OK, "".join(_hist_line(n, row) for n, row in enumerate(rows))
+    values = terms_prefix(scheme, args.count)
+    _printable(values)
+    return EXIT_OK, _json({"values": values}) if args.json else _lines(values)
 
 
-def _cmd_sparse(args) -> int:
+def _cmd_sparse(args) -> tuple[int, str]:
     if args.count < 0:
         raise ValueError("--count must be nonnegative")
     scheme = load_scheme(args.scheme)
     values = sparse_terms(scheme, args.count)
-    if args.json:
-        _print_json({"values": values})
-    else:
-        for v in values:
-            print(v)
-    return EXIT_OK
+    _printable(values)
+    return EXIT_OK, _json({"values": values}) if args.json else _lines(values)
 
 
-def _cmd_gf(args) -> int:
+def _cmd_gf(args) -> tuple[int, str]:
     scheme = load_scheme(args.scheme)
     if args.guess:
         budget = args.budget if args.budget is not None else 2 * scheme.state_count + 2
         gf = gf_guess(scheme, budget)
-        if not gf_verify(gf, scheme, budget):
-            print("guessed generating function failed verification", file=sys.stderr)
-            return EXIT_VERIFY
     else:
         gf = gf_prove(scheme)
-    if args.json:
-        sys.stdout.write(gf_to_json(gf))
-    else:
-        print(gf_to_text(gf))
-    return EXIT_OK
+    _printable(gf.num + gf.den)
+    return EXIT_OK, gf_to_json(gf) if args.json else gf_to_text(gf) + "\n"
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[int, str]:
     scheme = load_scheme(args.scheme)
     report = verify_scheme(scheme, args.nmax, gf=gf_prove(scheme), rlt_limit=args.rlt_limit)
-    if args.json:
-        sys.stdout.write(report.to_json())
-    else:
-        print(report.render_text())
-    return EXIT_OK if report.ok else EXIT_VERIFY
+    text = report.to_json() if args.json else report.render_text() + "\n"
+    return EXIT_OK if report.ok else EXIT_VERIFY, text
 
 
 _COMMANDS = {
@@ -209,13 +220,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        code, text = _COMMANDS[args.command](args)
     except LimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 
 from .scheme import Scheme
-from .sequence import _top_orbit, sparse_terms
+from .sequence import sparse_terms
 
 
 @dataclass(frozen=True)
@@ -175,17 +175,14 @@ def _fit(terms: list[int], rigorous: bool) -> RationalGF:
     return make_gf(num, conn, rigorous=rigorous)
 
 
-def gf_prove(scheme: Scheme, state: int = 1) -> RationalGF:
-    """Generating function of the given state's values at n = p^k - 1, proved.
+def gf_prove(scheme: Scheme) -> RationalGF:
+    """Generating function of the values at n = p^k - 1, proved.
 
-    Those values are e_state^T M^k c(0), so they obey the recurrence of the
+    Those values are e_1^T M^k c(0), so they obey the recurrence of the
     minimal polynomial of M, of order at most m; the fit of the first 2m
     terms is therefore the generating function itself.
     """
-    m = scheme.state_count
-    if not 1 <= state <= m:
-        raise ValueError(f"state {state} out of range 1..{m}")
-    return _fit([vec[state - 1] for vec in _top_orbit(scheme, 2 * m - 1)], rigorous=True)
+    return _fit(sparse_terms(scheme, 2 * scheme.state_count - 1), rigorous=True)
 
 
 def gf_guess(scheme: Scheme, budget: int) -> RationalGF:
@@ -211,13 +208,6 @@ def gf_series(gf: RationalGF, count: int) -> list[int]:
         acc -= sum(den[j] * out[k - j] for j in range(1, min(k, len(den) - 1) + 1))
         out.append(acc)
     return out
-
-
-def gf_verify(gf: RationalGF, scheme: Scheme, count: int) -> bool:
-    """True iff the first `count` series coefficients match the scheme's sparse terms."""
-    if count <= 0:
-        return True
-    return gf_series(gf, count) == sparse_terms(scheme, count - 1)
 
 
 def _poly_text(coeffs: tuple[int, ...], var: str = "t") -> str:

@@ -4,24 +4,36 @@ Brute force recomputes values from the definition: multiply out Q * P^n one
 factor of P at a time, reducing coefficients mod p after every step, then
 sum or tally the coefficients.  The multiplication here is its own plain
 dict convolution, deliberately separate from the fast evaluation path, so
-the two sides of every comparison stay independent.  The memoized route
-evaluates the digit recurrence demand-driven, only for the states each
-index n // p^k actually needs, as a second check on the fast path at
-indices far beyond brute force.
+the two sides of every comparison stay independent.  Each seed's product
+chain is expanded once per call, and a whole call (brute_values,
+brute_histograms or verify_scheme) spends at most WORK_BUDGET term products
+before it raises LimitError.  The memoized route evaluates the digit
+recurrence demand-driven, only for the states each index n // p^k actually
+needs, as a second check on the fast path at indices far beyond brute force.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .genfun import RationalGF, gf_series
 from .poly import ModPoly
 from .scheme import LimitError, Scheme
 from .sequence import eval_at, eval_histogram_at, rlt_check, sparse_terms, terms_prefix
 
-TERM_LIMIT = 10**7
+# Term products (len(current) * len(P) per multiply-reduce step) that one call
+# of brute_values, brute_histograms or verify_scheme may spend on all its
+# chains.  verify_scheme needs 7.8e6 for x^-1+x+y^-1+y mod 2 at n_max = 257
+# (the largest check in the tests) and 5.5e6 for (1+x+x^2)(1+y+y^2)(1+z+z^2)
+# -xyz mod 2 (m = 110) at 8; at 32 that scheme stops here after about 26 s
+# on a 2-vCPU x86 VM, where it used to run for many minutes.
+WORK_BUDGET = 15 * 10**6
+
+# verify_scheme checks the sparse terms at k <= _SPARSE_COUNT against eval_at, and
+# the series up to k = 2m + _SPARSE_COUNT, past the 2m terms a fit uses.
+_SPARSE_COUNT = 12
 
 
 def _mul_mod(a: dict, b: dict, p: int, nvars: int) -> dict:
@@ -45,21 +57,31 @@ def _mul_mod(a: dict, b: dict, p: int, nvars: int) -> dict:
     return {e: c for e, c in ((e, c % p) for e, c in out.items()) if c}
 
 
-def _product_chain(
-    poly: ModPoly, seed: ModPoly, count: int, term_limit: int = TERM_LIMIT
-) -> Iterator[dict]:
-    """Yield the term dict of seed * poly^n for n = 0 .. count-1."""
-    if poly.p != seed.p or poly.vars != seed.vars:
-        raise ValueError("seed and polynomial must share modulus and variables")
+def _expand(poly: ModPoly, seeds: Iterable[ModPoly], count: int) -> Iterator[Iterator[dict]]:
+    """For each seed in turn, the term dicts of seed * poly^n for n = 0 .. count-1.
+
+    Each seed's chain is multiplied out once, and every chain draws on the
+    same WORK_BUDGET of term products; spending past it raises LimitError.
+    """
     p = poly.p
     nvars = len(poly.vars)
     base = dict(poly.terms)
-    current = {e: c % p for e, c in seed.terms.items() if c % p}
-    for _ in range(count):
-        if len(current) > term_limit:
-            raise LimitError(f"expansion exceeded {term_limit} terms")
-        yield current
-        current = _mul_mod(current, base, p, nvars)
+    left = WORK_BUDGET
+
+    def chain(seed: ModPoly) -> Iterator[dict]:
+        nonlocal left
+        if seed.p != p or seed.vars != poly.vars:
+            raise ValueError("seed and polynomial must share modulus and variables")
+        current = {e: c % p for e, c in seed.terms.items() if c % p}
+        for n in range(count):
+            if n:
+                left -= len(current) * len(base)
+                if left < 0:
+                    raise LimitError(f"brute force exceeded {WORK_BUDGET} term products")
+                current = _mul_mod(current, base, p, nvars)
+            yield current
+
+    return map(chain, seeds)
 
 
 def _histogram(terms: dict, p: int) -> tuple[int, ...]:
@@ -69,39 +91,16 @@ def _histogram(terms: dict, p: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def brute_scalar(poly: ModPoly, seed: ModPoly, n: int, term_limit: int = TERM_LIMIT) -> int:
-    """Coefficient sum of seed * poly^n mod p by direct expansion."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    for terms in _product_chain(poly, seed, n + 1, term_limit):
-        pass
-    return sum(terms.values())
+def brute_values(poly: ModPoly, seed: ModPoly, count: int) -> list[int]:
+    """Coefficient sums of seed * poly^n mod p for n = 0 .. count-1, by direct expansion."""
+    (chain,) = _expand(poly, [seed], count)
+    return [sum(t.values()) for t in chain]
 
 
-def brute_histogram(
-    poly: ModPoly, seed: ModPoly, n: int, term_limit: int = TERM_LIMIT
-) -> tuple[int, ...]:
-    """Residue histogram of seed * poly^n mod p by direct expansion."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    for terms in _product_chain(poly, seed, n + 1, term_limit):
-        pass
-    return _histogram(terms, poly.p)
-
-
-def brute_values(
-    poly: ModPoly, seed: ModPoly, count: int, term_limit: int = TERM_LIMIT
-) -> list[int]:
-    """Coefficient sums for n = 0 .. count-1, sharing one expansion chain."""
-    return [sum(t.values()) for t in _product_chain(poly, seed, count, term_limit)]
-
-
-def brute_histograms(
-    poly: ModPoly, seed: ModPoly, count: int, term_limit: int = TERM_LIMIT
-) -> list[tuple[int, ...]]:
-    """Residue histograms for n = 0 .. count-1, sharing one expansion chain."""
-    p = poly.p
-    return [_histogram(t, p) for t in _product_chain(poly, seed, count, term_limit)]
+def brute_histograms(poly: ModPoly, seed: ModPoly, count: int) -> list[tuple[int, ...]]:
+    """Residue histograms of seed * poly^n mod p for n = 0 .. count-1, by direct expansion."""
+    (chain,) = _expand(poly, [seed], count)
+    return [_histogram(t, poly.p) for t in chain]
 
 
 def eval_at_memo(scheme: Scheme, n: int) -> int:
@@ -186,25 +185,28 @@ def verify_scheme(
     n_max: int,
     gf: RationalGF | None = None,
     rlt_limit: int | None = None,
-    sparse_count: int = 12,
-    term_limit: int = TERM_LIMIT,
 ) -> VerificationReport:
     """Replay a scheme against the brute-force definition and report per-check results.
 
     Checks, in order: sequence and histogram values for state 1 on n < n_max;
     the per-state digit recurrence for n < n_max // p; the digit-0 fixed
     point of the base vector; sparse terms against direct evaluation; series
-    coefficients of an attached generating function, over 2m + sparse_count
-    + 1 terms so that the check reads past the 2m terms a fit determines
-    (m the state count); and (p = 2 only, informational) the
-    run-length-transform factorization.
+    coefficients of an attached generating function, over 2m + 13 terms so
+    that the check reads past the 2m terms a fit determines (m the state
+    count); and (p = 2 only, informational) the run-length-transform
+    factorization.  Each state's chain is expanded once, under one
+    WORK_BUDGET.  Raises ValueError for n_max < 1 or a negative rlt_limit.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    if rlt_limit is not None and rlt_limit < 0:
+        raise ValueError(f"rlt_limit must be nonnegative, got {rlt_limit}")
     p = scheme.p
     checks: list[CheckResult] = []
 
-    tables = [
-        brute_values(scheme.poly, state, n_max, term_limit) for state in scheme.states
-    ]
+    chains = _expand(scheme.poly, scheme.states, n_max)
+    first, hist_table = zip(*((sum(t.values()), _histogram(t, p)) for t in next(chains)))
+    tables = [first] + [[sum(t.values()) for t in chain] for chain in chains]
 
     fast = terms_prefix(scheme, n_max)
     bad = next((n for n in range(n_max) if fast[n] != tables[0][n]), None)
@@ -218,7 +220,6 @@ def verify_scheme(
         )
     )
 
-    hist_table = brute_histograms(scheme.poly, scheme.states[0], n_max, term_limit)
     bad_h = next(
         (n for n in range(n_max) if eval_histogram_at(scheme, n) != hist_table[n]), None
     )
@@ -269,9 +270,9 @@ def verify_scheme(
         )
     )
 
-    sparse = sparse_terms(scheme, 2 * scheme.state_count + sparse_count)
+    sparse = sparse_terms(scheme, 2 * scheme.state_count + _SPARSE_COUNT)
     bad_k = next(
-        (k for k in range(sparse_count + 1) if sparse[k] != eval_at(scheme, p**k - 1)), None
+        (k for k in range(_SPARSE_COUNT + 1) if sparse[k] != eval_at(scheme, p**k - 1)), None
     )
     checks.append(
         CheckResult(

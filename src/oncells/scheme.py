@@ -23,7 +23,7 @@ from .poly import ModPoly, ensure_prime, parse_poly
 
 
 class LimitError(RuntimeError):
-    """A configured resource limit (state count, term budget, solve size) was hit."""
+    """A resource limit (state count, brute-force work budget, output digits) was hit."""
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,10 @@ def synthesize(
     worklist closure is sequential and byte-deterministic: states are
     numbered in first-discovery order with digits ascending and residue
     classes in lexicographic order.  Raises LimitError if more than
-    max_states states appear.
+    max_states states appear, ValueError if max_states is below 1.
     """
+    if max_states < 1:
+        raise ValueError(f"max_states must be at least 1, got {max_states}")
     if poly.is_zero():
         raise ValueError("polynomial is zero mod p")
     if q0 is None:

@@ -12,7 +12,7 @@ through the run-length transform, checked here empirically.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .scheme import Scheme
@@ -64,21 +64,17 @@ def terms_prefix(scheme: Scheme, count: int) -> list[int]:
     return [v[0] for v in vecs]
 
 
-def _top_orbit(scheme: Scheme, count: int) -> Iterator[Sequence[int]]:
-    """Yield the state vectors at n = p^k - 1 for k = 0..count: repeated top-digit steps."""
-    top = scheme.p - 1
-    vec = scheme.base_scalar
-    yield vec
-    for _ in range(count):
-        vec = _step(scheme, top, vec)
-        yield vec
-
-
 def sparse_terms(scheme: Scheme, count: int) -> list[int]:
-    """Values at n = p^k - 1 for k = 0..count."""
+    """Values at n = p^k - 1 for k = 0..count: repeated top-digit steps."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    return [vec[0] for vec in _top_orbit(scheme, count)]
+    top = scheme.p - 1
+    vec = scheme.base_scalar
+    out = [vec[0]]
+    for _ in range(count):
+        vec = _step(scheme, top, vec)
+        out.append(vec[0])
+    return out
 
 
 def rlt_expand(sparse: list[int], n: int) -> int:

@@ -1,4 +1,6 @@
 import json
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -181,9 +183,50 @@ def test_invalid_input_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_empty_or_negative_ranges_rejected(tmp_path, capsys):
+    scheme = synth_toy(tmp_path / "toy.json")
+    capsys.readouterr()
+    for argv in (
+        ["check", "--scheme", scheme, "--nmax", "0"],
+        ["check", "--scheme", scheme, "--nmax", "-5"],
+        ["check", "--scheme", scheme, "--rlt-limit", "-3"],
+        ["synth", "-p", "2", "--vars", "x", "--poly", "1+x", "--max-states", "0"],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
 def test_resource_limit_exit_codes(capsys):
     assert main(["synth", "-p", "2", "--vars", "x", "--poly", "1+x+x^2", "--max-states", "1"]) == 3
     capsys.readouterr()
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="interpreter converts integers of any length")
+def test_unprintable_output_is_a_limit(capsys):
+    # the toy's value at 2^k - 1 has about 0.3k digits, so k = 4L passes an L-digit limit
+    scheme = str(SCHEMES_DIR / "p2-univariate-quadratic.json")
+    for argv in (
+        ["sparse", "--scheme", scheme, "--count", str(4 * DIGIT_LIMIT)],
+        ["eval", "--scheme", scheme, "--pow", str(4 * DIGIT_LIMIT)],
+        ["eval", "--scheme", scheme, "--npow10", str(DIGIT_LIMIT), "--json"],
+        ["eval", "--scheme", scheme, "--n", "1" * (DIGIT_LIMIT + 1)],
+    ):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+    # 10^(L-1) has L digits: still printed
+    assert main(["eval", "--scheme", scheme, "--npow10", str(DIGIT_LIMIT - 1), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == "1" + "0" * (DIGIT_LIMIT - 1)
+    start = time.perf_counter()
+    assert main(["eval", "--scheme", scheme, "--npow10", "1000000000"]) == 3
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().out == ""
 
 
 def test_corrupt_scheme_file_rejected(tmp_path, capsys):

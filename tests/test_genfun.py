@@ -1,23 +1,22 @@
 import pytest
 from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from oncells import (
     LimitError,
-    ModPoly,
     RationalGF,
     gf_guess,
     gf_prove,
     gf_series,
     gf_to_dict,
     gf_to_text,
-    gf_verify,
     make_gf,
     parse_poly,
     sparse_terms,
     synthesize,
 )
 from oncells.genfun import _pdiv_exact, _trim
+
+from strategies import random_polys
 
 # The generating function of every bench corpus member: (name, expression,
 # variables, p, num, den).
@@ -119,14 +118,6 @@ def test_gf_prove_toy(toy):
     assert gf_to_text(gf) == "(1+2*t)/(1-t-2*t^2)"
 
 
-def test_gf_prove_second_state(toy):
-    gf = gf_prove(toy, state=2)
-    assert gf.num == (2,)
-    assert gf.den == (1, -1, -2)
-    with pytest.raises(ValueError):
-        gf_prove(toy, state=3)
-
-
 def test_gf_prove_base3(base3):
     gf = gf_prove(base3)
     assert gf.num == (1,)
@@ -173,14 +164,6 @@ def test_gf_series_matches_sparse(corpus):
         assert gf_series(gf_prove(s), count) == sparse_terms(s, count - 1)
 
 
-def test_gf_verify(toy):
-    gf = gf_prove(toy)
-    assert gf_verify(gf, toy, 20)
-    perturbed = RationalGF(num=(1, 3), den=(1, -1, -2))
-    assert not gf_verify(perturbed, toy, 5)
-    assert gf_verify(gf, toy, 0)
-
-
 def test_denominator_divides_system_determinant(corpus):
     for _, _, _, s in corpus:
         det = _system_det(s)
@@ -197,16 +180,6 @@ def test_corpus_generating_functions_pinned(expr, vars, p, num, den):
     proved = gf_prove(s)
     assert (proved.num, proved.den, proved.rigorous) == (num, den, True)
     assert gf_guess(s, 2 * s.state_count + 2) == proved
-
-
-@st.composite
-def random_polys(draw):
-    """Nonzero polynomials over Z/p, p in {2, 3, 5}, in one or two variables, Laurent allowed."""
-    p = draw(st.sampled_from((2, 3, 5)))
-    vars = ("x", "y")[: draw(st.integers(1, 2))]
-    exps = st.tuples(*[st.integers(-2, 3)] * len(vars))
-    terms = draw(st.dictionaries(exps, st.integers(1, p - 1), min_size=1, max_size=4))
-    return ModPoly(p, vars, terms)
 
 
 @settings(max_examples=40, deadline=None)

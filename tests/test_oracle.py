@@ -1,22 +1,25 @@
 import dataclasses
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oncells.oracle as oracle
 from oncells import (
     CheckResult,
     LimitError,
     ModPoly,
     VerificationReport,
-    brute_histogram,
     brute_histograms,
-    brute_scalar,
     brute_values,
     eval_at,
     gf_prove,
     make_gf,
     parse_poly,
+    synthesize,
     verify_scheme,
 )
+from strategies import random_polys
 
 X = ("x",)
 
@@ -24,28 +27,22 @@ X = ("x",)
 def test_brute_scalar():
     p2 = parse_poly("1+x+x^2", X, 2)
     one2 = ModPoly.one(2, X)
-    assert brute_scalar(p2, one2, 3) == 5
-    assert brute_scalar(p2, one2, 0) == 1
+    assert brute_values(p2, one2, 4)[3] == 5
+    assert brute_values(p2, one2, 1)[0] == 1
     q = parse_poly("1+x", X, 2)
-    assert brute_scalar(p2, q, 0) == q.coeff_sum() == 2
+    assert brute_values(p2, q, 1)[0] == q.coeff_sum() == 2
     p3 = parse_poly("1+x", X, 3)
-    assert brute_scalar(p3, ModPoly.one(3, X), 2) == 4
+    assert brute_values(p3, ModPoly.one(3, X), 3)[2] == 4
+    assert brute_values(p2, one2, 0) == []
 
 
 def test_brute_histogram():
     p3 = parse_poly("1+x", X, 3)
     one3 = ModPoly.one(3, X)
-    assert brute_histogram(p3, one3, 2) == (2, 1)
-    assert brute_histogram(p3, one3, 0) == (1, 0)
+    assert brute_histograms(p3, one3, 3)[2] == (2, 1)
+    assert brute_histograms(p3, one3, 1)[0] == (1, 0)
     p2 = parse_poly("1+x+x^2", X, 2)
-    assert brute_histogram(p2, ModPoly.one(2, X), 7) == (11,)
-
-
-def test_brute_values_consistent_with_single_calls():
-    p3 = parse_poly("1+x", X, 3)
-    one3 = ModPoly.one(3, X)
-    assert brute_values(p3, one3, 10) == [brute_scalar(p3, one3, n) for n in range(10)]
-    assert brute_histograms(p3, one3, 6) == [brute_histogram(p3, one3, n) for n in range(6)]
+    assert brute_histograms(p2, ModPoly.one(2, X), 8)[7] == (11,)
 
 
 def test_on_cell_count_is_nonzero_term_count(corpus):
@@ -53,30 +50,67 @@ def test_on_cell_count_is_nonzero_term_count(corpus):
     for _, p, raw, _ in corpus:
         if p != 2:
             continue
-        one = ModPoly.one(2, raw.vars)
+        values = brute_values(raw, ModPoly.one(2, raw.vars), 32)
         for n in range(32):
-            power = raw**n
-            assert brute_scalar(raw, one, n) == len(power.terms)
+            assert values[n] == len((raw**n).terms)
 
 
 def test_brute_histogram_weighted_sum():
     p3 = parse_poly("1+x+x^2", X, 3)
     one3 = ModPoly.one(3, X)
-    for n in range(40):
-        hist = brute_histogram(p3, one3, n)
-        assert sum((i + 1) * hist[i] for i in range(2)) == brute_scalar(p3, one3, n)
+    values = brute_values(p3, one3, 40)
+    for n, hist in enumerate(brute_histograms(p3, one3, 40)):
+        assert sum((i + 1) * hist[i] for i in range(2)) == values[n]
 
 
-def test_term_limit_guard():
+def test_term_limit_guard(monkeypatch):
+    # 1+x+x^2 mod 2: the steps to n = 1 and n = 2 cost 1*3 and 3*3 term products,
+    # so 3 fit under a budget of 10 and 12 do not
     p2 = parse_poly("1+x+x^2", X, 2)
+    monkeypatch.setattr(oracle, "WORK_BUDGET", 10)
+    assert brute_values(p2, ModPoly.one(2, X), 2) == [1, 3]
     with pytest.raises(LimitError):
-        brute_scalar(p2, ModPoly.one(2, X), 100, term_limit=10)
+        brute_values(p2, ModPoly.one(2, X), 3)
+    with pytest.raises(LimitError):
+        brute_histograms(p2, ModPoly.one(2, X), 100)
 
 
-def test_negative_index_rejected():
-    p2 = parse_poly("1+x", X, 2)
+def test_budget_covers_the_whole_verification(toy, monkeypatch):
+    # each state's chain fits in the budget on its own, all of them together do not
+    products = []
+    real = oracle._mul_mod
+    monkeypatch.setattr(
+        oracle, "_mul_mod", lambda a, b, p, v: products.append(len(a) * len(b)) or real(a, b, p, v)
+    )
+    costs = []
+    for q in toy.states:
+        products.clear()
+        brute_values(toy.poly, q, 16)
+        costs.append(sum(products))
+    monkeypatch.setattr(oracle, "WORK_BUDGET", max(costs))
+    for q in toy.states:
+        brute_values(toy.poly, q, 16)
+    with pytest.raises(LimitError):
+        verify_scheme(toy, 16)
+
+
+def test_verify_scheme_expands_each_state_once(corpus, monkeypatch):
+    calls = []
+    real = oracle._mul_mod
+    monkeypatch.setattr(oracle, "_mul_mod", lambda *args: calls.append(1) or real(*args))
+    for _, _, _, s in corpus:
+        calls.clear()
+        assert verify_scheme(s, 16).ok
+        # one chain of 16 terms, so 15 products, per state
+        assert len(calls) == s.state_count * 15
+
+
+def test_verify_scheme_rejects_empty_ranges(toy):
+    for n_max in (0, -5):
+        with pytest.raises(ValueError):
+            verify_scheme(toy, n_max)
     with pytest.raises(ValueError):
-        brute_scalar(p2, ModPoly.one(2, X), -1)
+        verify_scheme(toy, 16, rlt_limit=-3)
 
 
 def test_eval_matches_brute(toy, base3):
@@ -122,7 +156,7 @@ def test_verify_scheme_catches_corruption(toy):
 
 def test_series_agreement_reads_past_the_fitted_terms(toy):
     # (1+2t)/(1-t-2t^2) + t^16: agrees with the toy's sparse terms below
-    # 2m + sparse_count + 1 = 17 and differs at k = 16
+    # k = 16 and differs there, in the last of the 2m + 13 = 17 terms compared
     wrong = make_gf([1, 2] + [0] * 14 + [1, -1, -2], [1, -1, -2])
     report = verify_scheme(toy, 16, gf=wrong)
     series = next(c for c in report.checks if c.name == "series_agreement")
@@ -157,3 +191,29 @@ def test_verify_report_json(toy):
     assert data["scheme"] == toy.label()
     assert {c["name"] for c in data["checks"]} >= {"scalar_vs_brute", "recurrence_identity"}
     assert all(c["passed"] for c in data["checks"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_polys(max_vars=3), st.data())
+def test_verify_scheme_properties(poly, data):
+    try:
+        s = synthesize(poly, max_states=64)
+    except LimitError:
+        assume(False)
+    n_max = 2 * s.p
+    assert verify_scheme(s, n_max).ok
+    # every base value is at least 1, so dropping an entry breaks the n = 0 recurrence
+    j = data.draw(st.integers(0, s.state_count - 1))
+    i = data.draw(st.integers(0, s.p - 1))
+    multiset = s.transitions[j][i]
+    k = data.draw(st.integers(0, len(multiset) - 1))
+    row = list(s.transitions[j])
+    row[i] = multiset[:k] + multiset[k + 1 :]
+    transitions = s.transitions[:j] + (tuple(row),) + s.transitions[j + 1 :]
+    broken = dataclasses.replace(s, transitions=transitions)
+    recurrence = next(
+        c for c in verify_scheme(broken, n_max).checks if c.name == "recurrence_identity"
+    )
+    assert not recurrence.passed
+    assert recurrence.counterexample["n"] == 0
+    assert (recurrence.counterexample["state"], recurrence.counterexample["digit"]) == (j + 1, i)
