@@ -16,7 +16,6 @@ from .genfun import (
     gf_to_dict,
     gf_to_json,
     gf_to_text,
-    make_gf,
 )
 from .oracle import (
     CheckResult,
@@ -74,7 +73,6 @@ __all__ = [
     "gf_to_json",
     "gf_to_text",
     "load_scheme",
-    "make_gf",
     "parse_poly",
     "rlt_check",
     "rlt_expand",

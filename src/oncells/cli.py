@@ -8,7 +8,7 @@ brute-force oracle).
 
 Each command builds its whole output before writing it.  Exit codes: 0
 success, 1 verification failure, 2 invalid input, 3 resource limit (state
-cap, brute-force work budget, or an integer too long for str()).
+cap, brute-force work budget, term cap, or an integer too long for str()).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .genfun import gf_guess, gf_prove, gf_to_json, gf_to_text
 from .oracle import verify_scheme
 from .poly import ParseError, parse_poly
 from .scheme import LimitError, load_scheme, scheme_to_json, synthesize
-from .sequence import eval_at, eval_histogram_at, sparse_terms, terms_prefix
+from .sequence import check_count, eval_at, eval_histogram_at, sparse_terms, terms_prefix
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -166,6 +166,9 @@ def _cmd_terms(args) -> tuple[int, str]:
         raise ValueError("--count must be nonnegative")
     scheme = load_scheme(args.scheme)
     if args.histogram:
+        # each row repeats its index's digit steps (at most count.bit_length())
+        # on each of the p - 1 residue columns
+        check_count(scheme, args.count * (scheme.p - 1) * args.count.bit_length())
         rows = [list(eval_histogram_at(scheme, n)) for n in range(args.count)]
         _printable(c for row in rows for c in row)
         if args.json:
@@ -186,6 +189,8 @@ def _cmd_sparse(args) -> tuple[int, str]:
 
 
 def _cmd_gf(args) -> tuple[int, str]:
+    if args.budget is not None and not args.guess:
+        raise ValueError("--budget needs --guess")
     scheme = load_scheme(args.scheme)
     if args.guess:
         budget = args.budget if args.budget is not None else 2 * scheme.state_count + 2

@@ -9,10 +9,10 @@ Berlekamp-Massey returns the shortest linear recurrence that generates a
 finite prefix, and a recurrence of order L that generates 2L terms is the
 unique shortest one (Massey, IEEE Trans. IT 15(1), 1969).  Fitting 2m terms
 therefore proves the generating function; fitting fewer gives it whenever
-the true order is at most half the number of terms.
-
-Univariate integer polynomials are plain ascending coefficient lists with
-no trailing zeros; [] is the zero polynomial.
+the true order is at most half the number of terms.  The fit comes out in
+lowest terms: a common factor of numerator and denominator would give the
+same series from a shorter recurrence, against the fit's minimality, so no
+gcd step follows it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .scheme import Scheme
 from .sequence import sparse_terms
@@ -30,9 +29,11 @@ from .sequence import sparse_terms
 class RationalGF:
     """A reduced rational function num/den in one variable t.
 
-    num and den are ascending integer coefficient tuples, gcd(num, den) = 1
-    over the rationals, and den(0) = 1.  rigorous records whether the object
-    was fitted from enough terms to be forced.
+    num and den are ascending integer coefficient tuples with no trailing
+    zeros (num = (0,) for the zero function) and den(0) = 1.  Every fit is
+    reduced, gcd(num, den) = 1 over the rationals, because it is the shortest
+    recurrence; the constructor checks only the normalization.  rigorous
+    records whether the object was fitted from enough terms to be forced.
     """
 
     num: tuple[int, ...]
@@ -48,103 +49,11 @@ class RationalGF:
             raise ValueError(f"numerator not trimmed: {self.num}")
 
 
-def _trim(coeffs: list[int]) -> list[int]:
+def _trim(coeffs: list) -> list:
     out = list(coeffs)
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-def _pdiv_exact(a: list[int], b: list[int]) -> list[int]:
-    """Exact quotient a/b in Z[t]; raises if the division is not exact."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return []
-    rem = list(a)
-    quot = [0] * (len(a) - len(b) + 1)
-    lead = b[-1]
-    for k in range(len(quot) - 1, -1, -1):
-        top = rem[k + len(b) - 1]
-        if top % lead:
-            raise ArithmeticError("inexact polynomial division")
-        q = top // lead
-        quot[k] = q
-        if q:
-            for j, y in enumerate(b):
-                rem[k + j] -= q * y
-    if any(rem):
-        raise ArithmeticError("inexact polynomial division")
-    return _trim(quot)
-
-
-def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
-    """GCD of integer polynomials, returned primitive with positive leading coefficient."""
-    fa = [Fraction(x) for x in a]
-    fb = [Fraction(x) for x in b]
-    while fb:
-        # fa mod fb over the rationals
-        while len(fa) >= len(fb):
-            factor = fa[-1] / fb[-1]
-            shift = len(fa) - len(fb)
-            fa = [
-                x - factor * fb[k - shift] if k >= shift else x
-                for k, x in enumerate(fa)
-            ]
-            while fa and fa[-1] == 0:
-                fa.pop()
-            if not fa:
-                break
-        fa, fb = fb, fa
-    denom_lcm = 1
-    for x in fa:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in fa]
-    content = 0
-    for x in ints:
-        content = gcd(content, x)
-    ints = [x // content for x in ints]
-    if ints[-1] < 0:
-        ints = [-x for x in ints]
-    return ints
-
-
-def make_gf(num, den, rigorous: bool = True) -> RationalGF:
-    """Reduce and normalize num/den (integer or Fraction coefficients) to a RationalGF.
-
-    The fraction is reduced over the rationals and scaled so den(0) = 1;
-    normalizing an already normalized pair is a no-op.
-    """
-    num_f = [Fraction(x) for x in num]
-    den_f = [Fraction(x) for x in den]
-    while num_f and num_f[-1] == 0:
-        num_f.pop()
-    while den_f and den_f[-1] == 0:
-        den_f.pop()
-    if not den_f:
-        raise ZeroDivisionError("zero denominator")
-    scale = 1
-    for x in num_f + den_f:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    num_i = _trim([int(x * scale) for x in num_f])
-    den_i = _trim([int(x * scale) for x in den_f])
-    if not num_i:
-        return RationalGF(num=(0,), den=(1,), rigorous=rigorous)
-    g = _primitive_gcd(num_i, den_i)
-    if g != [1]:
-        num_i = _pdiv_exact(num_i, g)
-        den_i = _pdiv_exact(den_i, g)
-    c0 = den_i[0]
-    if c0 == 0:
-        raise ValueError("denominator vanishes at t=0; no power series at the origin")
-    if c0 != 1:
-        num_q = [Fraction(x, c0) for x in num_i]
-        den_q = [Fraction(x, c0) for x in den_i]
-        if any(x.denominator != 1 for x in num_q + den_q):
-            raise ValueError("cannot normalize to an integer fraction with den(0)=1")
-        num_i = [int(x) for x in num_q]
-        den_i = [int(x) for x in den_q]
-    return RationalGF(num=tuple(num_i), den=tuple(den_i), rigorous=rigorous)
 
 
 def _fit(terms: list[int], rigorous: bool) -> RationalGF:
@@ -153,7 +62,9 @@ def _fit(terms: list[int], rigorous: bool) -> RationalGF:
     conn is the connection polynomial (conn(0) = 1) of the current shortest
     recurrence, of order `length`; prev is conn as it was before the last
     order change, whose discrepancy prev_disc lies `shift` terms back.  The
-    denominator is conn and the numerator is conn * terms below t^length.
+    denominator is conn and the numerator is conn * terms below t^length;
+    the pair is coprime because the recurrence is minimal.  Raises
+    ValueError when a coefficient is not an integer.
     """
     conn, prev = [Fraction(1)], [Fraction(1)]
     length, shift, prev_disc = 0, 1, Fraction(1)
@@ -171,8 +82,15 @@ def _fit(terms: list[int], rigorous: bool) -> RationalGF:
         else:
             shift += 1
         conn = new
-    num = [sum(conn[j] * terms[k - j] for j in range(min(k + 1, len(conn)))) for k in range(length)]
-    return make_gf(num, conn, rigorous=rigorous)
+    num = _trim(
+        [sum(conn[j] * terms[k - j] for j in range(min(k + 1, len(conn)))) for k in range(length)]
+    )
+    den = _trim(conn)
+    if any(x.denominator != 1 for x in num + den):
+        raise ValueError("cannot normalize to an integer fraction with den(0)=1")
+    return RationalGF(
+        num=tuple(int(x) for x in num) or (0,), den=tuple(int(x) for x in den), rigorous=rigorous
+    )
 
 
 def gf_prove(scheme: Scheme) -> RationalGF:

@@ -4,12 +4,14 @@ Brute force recomputes values from the definition: multiply out Q * P^n one
 factor of P at a time, reducing coefficients mod p after every step, then
 sum or tally the coefficients.  The multiplication here is its own plain
 dict convolution, deliberately separate from the fast evaluation path, so
-the two sides of every comparison stay independent.  Each seed's product
-chain is expanded once per call, and a whole call (brute_values,
-brute_histograms or verify_scheme) spends at most WORK_BUDGET term products
-before it raises LimitError.  The memoized route evaluates the digit
-recurrence demand-driven, only for the states each index n // p^k actually
-needs, as a second check on the fast path at indices far beyond brute force.
+the two sides of every comparison stay independent; it runs one loop for
+any number of variables, on exponent vectors packed into single ints.  Each
+seed's product chain is expanded once per call, and a whole call
+(brute_values, brute_histograms or verify_scheme) spends at most
+WORK_BUDGET term products before it raises LimitError.  The memoized route
+evaluates the digit recurrence demand-driven, only for the states each
+index n // p^k actually needs, as a second check on the fast path at
+indices far beyond brute force.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .sequence import eval_at, eval_histogram_at, rlt_check, sparse_terms, terms
 # of brute_values, brute_histograms or verify_scheme may spend on all its
 # chains.  verify_scheme needs 7.8e6 for x^-1+x+y^-1+y mod 2 at n_max = 257
 # (the largest check in the tests) and 5.5e6 for (1+x+x^2)(1+y+y^2)(1+z+z^2)
-# -xyz mod 2 (m = 110) at 8; at 32 that scheme stops here after about 26 s
-# on a 2-vCPU x86 VM, where it used to run for many minutes.
+# -xyz mod 2 (m = 110) at 8; at 32 that scheme stops here after about 4 s
+# on a 2-vCPU x86 VM.
 WORK_BUDGET = 15 * 10**6
 
 # verify_scheme checks the sparse terms at k <= _SPARSE_COUNT against eval_at, and
@@ -36,49 +38,57 @@ WORK_BUDGET = 15 * 10**6
 _SPARSE_COUNT = 12
 
 
-def _mul_mod(a: dict, b: dict, p: int, nvars: int) -> dict:
+def _mul_mod(a: dict, b: dict, p: int) -> dict:
     out: dict = {}
     get = out.get
-    if nvars == 1:
-        for (b0,), cb in b.items():
-            for (a0,), ca in a.items():
-                e = (a0 + b0,)
-                out[e] = get(e, 0) + ca * cb
-    elif nvars == 2:
-        for (b0, b1), cb in b.items():
-            for (a0, a1), ca in a.items():
-                e = (a0 + b0, a1 + b1)
-                out[e] = get(e, 0) + ca * cb
-    else:
-        for eb, cb in b.items():
-            for ea, ca in a.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = get(e, 0) + ca * cb
+    for eb, cb in b.items():
+        for ea, ca in a.items():
+            e = ea + eb
+            out[e] = get(e, 0) + ca * cb
     return {e: c for e, c in ((e, c % p) for e, c in out.items()) if c}
+
+
+def _spans(poly: ModPoly) -> list[int]:
+    """Per variable, the highest minus the lowest exponent in poly's terms."""
+    return [max(col) - min(col) for col in zip(*poly.terms)] or [0] * len(poly.vars)
+
+
+def _pack(poly: ModPoly, weights: list[int]) -> dict:
+    """poly's terms keyed by the packed int sum(e[i] * weights[i]) of each exponent vector e."""
+    return {sum(x * w for x, w in zip(e, weights)): c for e, c in poly.terms.items()}
 
 
 def _expand(poly: ModPoly, seeds: Iterable[ModPoly], count: int) -> Iterator[Iterator[dict]]:
     """For each seed in turn, the term dicts of seed * poly^n for n = 0 .. count-1.
 
-    Each seed's chain is multiplied out once, and every chain draws on the
-    same WORK_BUDGET of term products; spending past it raises LimitError.
+    Exponent vectors are packed into single ints, mixed-radix with one digit
+    per variable.  Packing is linear, so keys add as exponents do, and each
+    digit is wider than that variable's exponent span anywhere in the chain,
+    so no two monomials of one product share a key, negative exponents
+    included.  Each seed's chain is multiplied out once, and every chain
+    draws on the same WORK_BUDGET of term products; spending past it raises
+    LimitError.
     """
     p = poly.p
-    nvars = len(poly.vars)
-    base = dict(poly.terms)
+    poly_spans = _spans(poly)
     left = WORK_BUDGET
 
     def chain(seed: ModPoly) -> Iterator[dict]:
         nonlocal left
         if seed.p != p or seed.vars != poly.vars:
             raise ValueError("seed and polynomial must share modulus and variables")
-        current = {e: c % p for e, c in seed.terms.items() if c % p}
+        weights, weight = [], 1
+        for seed_span, poly_span in zip(_spans(seed), poly_spans):
+            weights.append(weight)
+            weight *= seed_span + max(count - 1, 0) * poly_span + 1
+        base = _pack(poly, weights)
+        current = _pack(seed, weights)
         for n in range(count):
             if n:
                 left -= len(current) * len(base)
                 if left < 0:
                     raise LimitError(f"brute force exceeded {WORK_BUDGET} term products")
-                current = _mul_mod(current, base, p, nvars)
+                current = _mul_mod(current, base, p)
             yield current
 
     return map(chain, seeds)

@@ -323,4 +323,7 @@ def parse_poly(text: str, vars: tuple[str, ...] | list[str], p: int) -> ModPoly:
     vars = tuple(vars)
     if len(set(vars)) != len(vars):
         raise ValueError(f"duplicate variable names in {vars}")
-    return _Parser(text, vars, p).parse()
+    try:
+        return _Parser(text, vars, p).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 0) from None

@@ -151,7 +151,10 @@ def scheme_to_json(scheme: Scheme) -> str:
 def scheme_from_dict(data: dict) -> Scheme:
     try:
         p = ensure_prime(data["p"])
-        vars = tuple(data["vars"])
+        vars = data["vars"]
+        if type(vars) is not list or not all(type(v) is str for v in vars):
+            raise ValueError(f"vars must be a list of names, got {vars!r}")
+        vars = tuple(vars)
         poly = parse_poly(data["polynomial"], vars, p)
         states = tuple(parse_poly(s, vars, p) for s in data["states"])
         transitions = tuple(
@@ -207,7 +210,11 @@ def scheme_from_dict(data: dict) -> Scheme:
 
 
 def scheme_from_json(text: str) -> Scheme:
-    return scheme_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("scheme JSON is nested too deeply") from None
+    return scheme_from_dict(data)
 
 
 def save_scheme(scheme: Scheme, path: str) -> None:

@@ -180,7 +180,10 @@ def test_invalid_input_exit_codes(tmp_path, capsys):
     scheme = synth_toy(tmp_path / "toy.json")
     assert main(["eval", "--scheme", scheme, "--n", "12.5"]) == 2
     assert main(["eval", "--scheme", scheme]) == 2  # no index selected
-    capsys.readouterr()
+    assert main(["gf", "--scheme", scheme, "--budget", "1"]) == 2  # --budget without --guess
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: --budget needs --guess\n")
 
 
 def test_empty_or_negative_ranges_rejected(tmp_path, capsys):
@@ -201,6 +204,19 @@ def test_empty_or_negative_ranges_rejected(tmp_path, capsys):
 def test_resource_limit_exit_codes(capsys):
     assert main(["synth", "-p", "2", "--vars", "x", "--poly", "1+x+x^2", "--max-states", "1"]) == 3
     capsys.readouterr()
+    # counts past the term cap are refused before any work
+    scheme = str(SCHEMES_DIR / "p2-univariate-quadratic.json")
+    start = time.perf_counter()
+    for argv in (
+        ["terms", "--scheme", scheme, "--count", "1000000000000"],
+        ["terms", "--scheme", scheme, "--count", "1000000000000", "--histogram"],
+        ["sparse", "--scheme", scheme, "--count", "1000000000000"],
+    ):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+    assert time.perf_counter() - start < 5
 
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -246,8 +262,9 @@ def test_corrupt_scheme_file_rejected(tmp_path, capsys):
         (("transitions", 0, 1), ["a", 1]),
         (("base_scalar", 0), True),
         (("base_histogram", 0), [True]),
+        (("vars",), "x"),
     ],
-    ids=["index-true", "index-str", "base-scalar-true", "histogram-true"],
+    ids=["index-true", "index-str", "base-scalar-true", "histogram-true", "vars-str"],
 )
 def test_non_integer_scheme_entries_rejected(tmp_path, capsys, field, value):
     # JSON true equals 1 and is an int subclass in Python; it must still be refused
@@ -263,6 +280,25 @@ def test_non_integer_scheme_entries_rejected(tmp_path, capsys, field, value):
     bad.write_text(json.dumps(data))
     assert main(["eval", "--scheme", str(bad), "--n", "5"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_deeply_nested_input_rejected(tmp_path, capsys):
+    # nesting past the interpreter's recursion limit is invalid input, not a crash
+    nested_json = tmp_path / "nested.json"
+    nested_json.write_text("[" * 100000 + "]" * 100000)
+    nested_poly = tmp_path / "nested-poly.json"
+    data = json.loads((SCHEMES_DIR / "p2-univariate-quadratic.json").read_text())
+    data["polynomial"] = "(" * 100000 + "1+x+x^2" + ")" * 100000
+    nested_poly.write_text(json.dumps(data))
+    for argv in (
+        ["eval", "--scheme", str(nested_json), "--n", "5"],
+        ["eval", "--scheme", str(nested_poly), "--n", "5"],
+        ["synth", "-p", "2", "--vars", "x", "--poly", "(" * 100000 + "x" + ")" * 100000],
+    ):
+        assert main(argv) == 2, argv[:2]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 def test_shipped_schemes_check_clean(capsys):

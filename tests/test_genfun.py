@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oncells import (
     LimitError,
@@ -9,12 +12,11 @@ from oncells import (
     gf_series,
     gf_to_dict,
     gf_to_text,
-    make_gf,
     parse_poly,
     sparse_terms,
     synthesize,
 )
-from oncells.genfun import _pdiv_exact, _trim
+from oncells.genfun import _fit, _trim
 
 from strategies import random_polys
 
@@ -49,6 +51,40 @@ CORPUS_GF = [
         (1, -20, 79, 744, -5720, -3072, 101936, -127616, -563968, 1090560, 348160, -884736),
     ),
 ]
+
+
+def _pdiv_exact(a: list[int], b: list[int]) -> list[int]:
+    """Exact quotient a/b in Z[t]; raises if the division is not exact."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not a:
+        return []
+    rem = list(a)
+    quot = [0] * (len(a) - len(b) + 1)
+    lead = b[-1]
+    for k in range(len(quot) - 1, -1, -1):
+        top = rem[k + len(b) - 1]
+        if top % lead:
+            raise ArithmeticError("inexact polynomial division")
+        q = top // lead
+        quot[k] = q
+        if q:
+            for j, y in enumerate(b):
+                rem[k + j] -= q * y
+    if any(rem):
+        raise ArithmeticError("inexact polynomial division")
+    return _trim(quot)
+
+
+def _pgcd(a: list, b: list) -> list[Fraction]:
+    """Monic gcd of two polynomials over the rationals, by Euclid's algorithm."""
+    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    while b:
+        while len(a) >= len(b):  # a mod b
+            factor, shift = a[-1] / b[-1], len(a) - len(b)
+            a = _trim([x - factor * b[k - shift] if k >= shift else x for k, x in enumerate(a)])
+        a, b = b, a
+    return [x / a[-1] for x in a]
 
 
 def _psub(a: list, b: list) -> list:
@@ -152,10 +188,10 @@ def test_gf_prove_equals_guess_corpus(corpus):
 
 
 def test_gf_series():
-    assert gf_series(make_gf([1, 2], [1, -1, -2]), 6) == [1, 3, 5, 11, 21, 43]
-    assert gf_series(make_gf([1], [1, -1]), 4) == [1, 1, 1, 1]
-    assert gf_series(make_gf([1], [1, -4, 3]), 4) == [1, 4, 13, 40]
-    assert gf_series(make_gf([0], [1]), 3) == [0, 0, 0]
+    assert gf_series(RationalGF(num=(1, 2), den=(1, -1, -2)), 6) == [1, 3, 5, 11, 21, 43]
+    assert gf_series(RationalGF(num=(1,), den=(1, -1)), 4) == [1, 1, 1, 1]
+    assert gf_series(RationalGF(num=(1,), den=(1, -4, 3)), 4) == [1, 4, 13, 40]
+    assert gf_series(RationalGF(num=(0,), den=(1,)), 3) == [0, 0, 0]
 
 
 def test_gf_series_matches_sparse(corpus):
@@ -197,29 +233,41 @@ def test_gf_prove_properties(poly):
     assert _pmul(_pdiv_exact(det, list(gf.den)), list(gf.den)) == det
 
 
-def test_make_gf_normalization():
-    gf = make_gf([2, 4], [2])
-    assert (gf.num, gf.den) == ((1, 2), (1,))
-    reduced = make_gf([1, 1], [1, 2, 1])  # (1+t)/(1+t)^2
-    assert (reduced.num, reduced.den) == ((1,), (1, 1))
-    negated = make_gf([1], [-1, 1])  # scale so den(0) = 1
-    assert (negated.num, negated.den) == ((-1,), (1, -1))
-    zero = make_gf([0], [1, 5])
-    assert (zero.num, zero.den) == ((0,), (1,))
+def test_corpus_fits_are_coprime():
+    for name, _, _, _, num, den in CORPUS_GF:
+        assert _pgcd(num, den) == [1], name
 
 
-def test_make_gf_is_idempotent(corpus):
-    for _, _, _, s in corpus:
-        gf = gf_prove(s)
-        again = make_gf(gf.num, gf.den)
-        assert (again.num, again.den) == (gf.num, gf.den)
+coefficients = st.lists(st.integers(-3, 3), max_size=4)
 
 
-def test_make_gf_rejects_degenerate():
-    with pytest.raises(ZeroDivisionError):
-        make_gf([1], [0])
-    with pytest.raises(ValueError):
-        make_gf([1], [0, 1])  # pole at t = 0
+@settings(max_examples=100, deadline=None)
+@given(coefficients, coefficients, coefficients, st.integers(0, 3))
+def test_fit_is_in_lowest_terms(num, den_tail, common_tail, extra):
+    # num/den times g/g with den(0) = g(0) = 1: the fit must strip g and any
+    # factor num and den already shared
+    num, den, g = _trim(num), _trim([1] + den_tail), _trim([1] + common_tail)
+    if num:
+        c = _pgcd(num, den)
+        c = [x / c[0] for x in c]  # c(0) = 1; by Gauss's lemma c is integral
+        assert all(x.denominator == 1 for x in c)
+        c = [int(x) for x in c]
+        reduced = RationalGF(num=tuple(_pdiv_exact(num, c)), den=tuple(_pdiv_exact(den, c)))
+    else:
+        reduced = RationalGF(num=(0,), den=(1,))
+    order = max(len(reduced.den) - 1, len(reduced.num) if num else 0)
+    count = 2 * order + extra
+    unreduced = RationalGF(num=tuple(_pmul(num, g)) or (0,), den=tuple(_pmul(den, g)))
+    terms = gf_series(unreduced, count)
+    fitted = _fit(terms, rigorous=True)
+    assert fitted == reduced
+    assert gf_series(fitted, count) == terms
+
+
+def test_fit_rejects_a_non_integer_recurrence():
+    # 2, 1 is generated by t_k = t_{k-1} / 2
+    with pytest.raises(ValueError, match=r"cannot normalize to an integer fraction with den\(0\)=1"):
+        _fit([2, 1], rigorous=True)
 
 
 def test_rationalgf_validation():

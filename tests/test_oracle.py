@@ -9,12 +9,12 @@ from oncells import (
     CheckResult,
     LimitError,
     ModPoly,
+    RationalGF,
     VerificationReport,
     brute_histograms,
     brute_values,
     eval_at,
     gf_prove,
-    make_gf,
     parse_poly,
     synthesize,
     verify_scheme,
@@ -43,6 +43,13 @@ def test_brute_histogram():
     assert brute_histograms(p3, one3, 1)[0] == (1, 0)
     p2 = parse_poly("1+x+x^2", X, 2)
     assert brute_histograms(p2, ModPoly.one(2, X), 8)[7] == (11,)
+    # three variables, negative exponents in both the polynomial and the seed
+    xyz = ("x", "y", "z")
+    laurent = parse_poly("x^-1+y^-2*z+x*y*z^-1+z^3", xyz, 3)
+    seed = parse_poly("x^-2+2*y*z^-1", xyz, 3)
+    powers = [seed * laurent**n for n in range(10)]
+    assert brute_histograms(laurent, seed, 10) == [q.coeff_histogram() for q in powers]
+    assert brute_values(laurent, seed, 10) == [q.coeff_sum() for q in powers]
 
 
 def test_on_cell_count_is_nonzero_term_count(corpus):
@@ -80,7 +87,7 @@ def test_budget_covers_the_whole_verification(toy, monkeypatch):
     products = []
     real = oracle._mul_mod
     monkeypatch.setattr(
-        oracle, "_mul_mod", lambda a, b, p, v: products.append(len(a) * len(b)) or real(a, b, p, v)
+        oracle, "_mul_mod", lambda a, b, p: products.append(len(a) * len(b)) or real(a, b, p)
     )
     costs = []
     for q in toy.states:
@@ -157,7 +164,7 @@ def test_verify_scheme_catches_corruption(toy):
 def test_series_agreement_reads_past_the_fitted_terms(toy):
     # (1+2t)/(1-t-2t^2) + t^16: agrees with the toy's sparse terms below
     # k = 16 and differs there, in the last of the 2m + 13 = 17 terms compared
-    wrong = make_gf([1, 2] + [0] * 14 + [1, -1, -2], [1, -1, -2])
+    wrong = RationalGF(num=(1, 2) + (0,) * 14 + (1, -1, -2), den=(1, -1, -2))
     report = verify_scheme(toy, 16, gf=wrong)
     series = next(c for c in report.checks if c.name == "series_agreement")
     assert not series.passed

@@ -5,6 +5,7 @@ import pytest
 
 import oncells.sequence as sequence
 from oncells import (
+    LimitError,
     brute_histograms,
     brute_values,
     eval_at,
@@ -70,6 +71,19 @@ def test_sparse_terms_match_eval(corpus):
         values = sparse_terms(s, 12)
         for k in range(13):
             assert values[k] == eval_at(s, p**k - 1)
+
+
+def test_term_cap(toy, monkeypatch):
+    monkeypatch.setattr(sequence, "MAX_STATE_VALUES", 2300)
+    assert len(terms_prefix(toy, 1150)) == 1150  # 1150 x 2 states
+    with pytest.raises(LimitError):
+        terms_prefix(toy, 1151)
+    constant = synthesize(parse_poly("x^5", ("x",), 2))  # one state, every term 1
+    assert sparse_terms(constant, 2000) == [1] * 2001
+    # the toy's terms pass 1024 bits near k = 1024, and are charged for it from there
+    assert len(sparse_terms(toy, 1000)) == 1001
+    with pytest.raises(LimitError):
+        sparse_terms(toy, 1100)
 
 
 def test_rlt_expand(toy):
