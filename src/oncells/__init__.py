@@ -42,6 +42,7 @@ from .sequence import (
     RltReport,
     eval_at,
     eval_histogram_at,
+    histogram_prefix,
     rlt_check,
     rlt_expand,
     sparse_terms,
@@ -72,6 +73,7 @@ __all__ = [
     "gf_to_dict",
     "gf_to_json",
     "gf_to_text",
+    "histogram_prefix",
     "load_scheme",
     "parse_poly",
     "rlt_check",

@@ -22,7 +22,7 @@ from .genfun import gf_guess, gf_prove, gf_to_json, gf_to_text
 from .oracle import verify_scheme
 from .poly import ParseError, parse_poly
 from .scheme import LimitError, load_scheme, scheme_to_json, synthesize
-from .sequence import check_count, eval_at, eval_histogram_at, sparse_terms, terms_prefix
+from .sequence import eval_at, eval_histogram_at, histogram_prefix, sparse_terms, terms_prefix
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -102,7 +102,7 @@ def _lines(values: list[int]) -> str:
     return "".join(f"{v}\n" for v in values)
 
 
-def _hist_line(n: int, hist: list[int]) -> str:
+def _hist_line(n: int, hist: Iterable[int]) -> str:
     return f"{n} " + ",".join(str(c) for c in hist) + "\n"
 
 
@@ -166,10 +166,7 @@ def _cmd_terms(args) -> tuple[int, str]:
         raise ValueError("--count must be nonnegative")
     scheme = load_scheme(args.scheme)
     if args.histogram:
-        # each row repeats its index's digit steps (at most count.bit_length())
-        # on each of the p - 1 residue columns
-        check_count(scheme, args.count * (scheme.p - 1) * args.count.bit_length())
-        rows = [list(eval_histogram_at(scheme, n)) for n in range(args.count)]
+        rows = histogram_prefix(scheme, args.count)
         _printable(c for row in rows for c in row)
         if args.json:
             return EXIT_OK, _json({"histograms": rows})

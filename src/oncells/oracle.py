@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 from .genfun import RationalGF, gf_series
 from .poly import ModPoly
 from .scheme import LimitError, Scheme
-from .sequence import eval_at, eval_histogram_at, rlt_check, sparse_terms, terms_prefix
+from .sequence import _prefix, eval_at, rlt_check, sparse_terms, terms_prefix
 
 # Term products (len(current) * len(P) per multiply-reduce step) that one call
 # of brute_values, brute_histograms or verify_scheme may spend on all its
@@ -205,7 +205,11 @@ def verify_scheme(
     that the check reads past the 2m terms a fit determines (m the state
     count); and (p = 2 only, informational) the run-length-transform
     factorization.  Each state's chain is expanded once, under one
-    WORK_BUDGET.  Raises ValueError for n_max < 1 or a negative rlt_limit.
+    WORK_BUDGET.  The fast side of the first two checks is one prefix per
+    base column (terms_prefix, then sequence._prefix on each residue
+    column), and a counterexample's "got" is read from them.  Raises
+    ValueError for n_max < 1 or a negative rlt_limit, and LimitError past
+    WORK_BUDGET or terms_prefix's state-value cap.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -230,9 +234,11 @@ def verify_scheme(
         )
     )
 
-    bad_h = next(
-        (n for n in range(n_max) if eval_histogram_at(scheme, n) != hist_table[n]), None
-    )
+    # n_max is bounded by WORK_BUDGET and terms_prefix's count x m cap, so the
+    # residue columns take no further charge (histogram_prefix's x (p - 1) would
+    # refuse checks whose brute force fits the budget)
+    fast_h = list(zip(*(_prefix(scheme, n_max, col) for col in zip(*scheme.base_histogram))))
+    bad_h = next((n for n in range(n_max) if fast_h[n] != hist_table[n]), None)
     checks.append(
         CheckResult(
             "histogram_vs_brute",
@@ -242,7 +248,7 @@ def verify_scheme(
             else {
                 "n": bad_h,
                 "expected": list(hist_table[bad_h]),
-                "got": list(eval_histogram_at(scheme, bad_h)),
+                "got": list(fast_h[bad_h]),
             },
         )
     )

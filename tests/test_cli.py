@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from oncells import scheme_from_dict, sparse_terms
+import oncells.sequence as sequence
+from oncells import brute_histograms, load_scheme, scheme_from_dict, sparse_terms
 from oncells.cli import main
 
 SCHEMES_DIR = Path(__file__).resolve().parent.parent / "schemes"
@@ -100,6 +101,21 @@ def test_terms_histogram(tmp_path, capsys):
     assert lines == ["0 1,0", "1 2,0", "2 2,1"]
 
 
+def test_terms_histogram_charges_count_m_per_column(tmp_path, capsys, monkeypatch):
+    # 1+x+x^2 mod 5: m = 20, p - 1 = 4 columns, so 64 rows need exactly 5120 state values
+    path = tmp_path / "c5.json"
+    assert main(["synth", "-p", "5", "--vars", "x", "--poly", "1+x+x^2", "-o", str(path)]) == 0
+    monkeypatch.setattr(sequence, "MAX_STATE_VALUES", 5120)
+    assert main(["terms", "--scheme", str(path), "--count", "64", "--histogram", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["histograms"]
+    s = load_scheme(str(path))
+    assert rows == [list(h) for h in brute_histograms(s.poly, s.states[0], 64)]
+    assert main(["terms", "--scheme", str(path), "--count", "65", "--histogram"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_sparse(tmp_path, capsys):
     scheme = synth_toy(tmp_path / "toy.json")
     assert main(["sparse", "--scheme", scheme, "--count", "7"]) == 0
@@ -160,6 +176,16 @@ def test_check(tmp_path, capsys):
     assert main(["check", "--scheme", scheme, "--nmax", "32", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] is True
+
+
+def test_check_takes_no_histogram_charge(tmp_path, capsys):
+    # 1+x mod 97: m = p - 1 = 96, so the default --nmax 128 would cost
+    # 128 x 96 x 96 > MAX_STATE_VALUES as a histogram_prefix; check's limits
+    # are the value prefix's count x m and the brute-force WORK_BUDGET only
+    path = tmp_path / "c97.json"
+    assert main(["synth", "-p", "97", "--vars", "x", "--poly", "1+x", "-o", str(path)]) == 0
+    assert main(["check", "--scheme", str(path)]) == 0
+    assert "result: OK" in capsys.readouterr().out
 
 
 def test_check_fails_on_bad_scheme(tmp_path, capsys):

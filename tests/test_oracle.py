@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oncells.oracle as oracle
+import oncells.sequence as sequence
 from oncells import (
     CheckResult,
     LimitError,
@@ -15,6 +16,7 @@ from oncells import (
     brute_values,
     eval_at,
     gf_prove,
+    histogram_prefix,
     parse_poly,
     synthesize,
     verify_scheme,
@@ -177,6 +179,30 @@ def test_verify_scheme_catches_bad_base(toy):
     assert not report.ok
     names = {c.name for c in report.checks if not c.passed and not c.informational}
     assert "base_fixed_point" in names or "scalar_vs_brute" in names
+
+
+def test_verify_scheme_reports_histogram_counterexample(base3):
+    # swapped residue columns: the scalar route stays right, the histogram one does not
+    broken = dataclasses.replace(base3, base_histogram=((0, 1), (1, 0)))
+    report = verify_scheme(broken, 16)
+    assert not report.ok
+    hist = next(c for c in report.checks if c.name == "histogram_vs_brute")
+    assert not hist.passed
+    assert hist.counterexample == {"n": 0, "expected": [1, 0], "got": [0, 1]}
+    assert next(c for c in report.checks if c.name == "scalar_vs_brute").passed
+    lines = report.render_text().splitlines()
+    assert "  FAIL      histogram_vs_brute  [n=0, expected=[1, 0], got=[0, 1]]" in lines
+
+
+def test_verify_scheme_histograms_take_the_value_cap_only(base3, monkeypatch):
+    # base3: m = 2 and p - 1 = 2 residue columns; a cap that admits the
+    # 64-term value prefix (128 state values) refuses histogram_prefix(64)
+    monkeypatch.setattr(sequence, "MAX_STATE_VALUES", 128)
+    with pytest.raises(LimitError):
+        histogram_prefix(base3, 64)
+    assert verify_scheme(base3, 64).ok
+    with pytest.raises(LimitError):
+        verify_scheme(base3, 65)
 
 
 def test_informational_checks_do_not_fail_report():

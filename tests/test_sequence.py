@@ -2,6 +2,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oncells.sequence as sequence
 from oncells import (
@@ -11,6 +13,7 @@ from oncells import (
     eval_at,
     eval_at_memo,
     eval_histogram_at,
+    histogram_prefix,
     parse_poly,
     rlt_check,
     rlt_expand,
@@ -18,6 +21,7 @@ from oncells import (
     synthesize,
     terms_prefix,
 )
+from strategies import random_polys
 
 TOY_PREFIX_16 = [1, 3, 3, 5, 3, 9, 5, 11, 3, 9, 9, 15, 5, 15, 11, 21]
 TOY_SPARSE_8 = [1, 3, 5, 11, 21, 43, 85, 171]
@@ -36,6 +40,8 @@ def test_eval_histogram_at(toy, base3):
     assert eval_histogram_at(base3, 2) == (2, 1)
     assert eval_histogram_at(toy, 7) == (11,)
     assert eval_histogram_at(base3, 0) == (1, 0)
+    assert histogram_prefix(base3, 3) == [(1, 0), (2, 0), (2, 1)]
+    assert histogram_prefix(toy, 8) == [(v,) for v in TOY_PREFIX_16[:8]]
 
 
 def test_histogram_weighted_sum_matches_scalar(corpus):
@@ -151,8 +157,42 @@ def test_larger_schemes_match_oracles(text, p, states):
         n = rng.randrange(2**200)
         assert eval_at(s, n) == eval_at_memo(s, n)
     assert terms_prefix(s, 64) == brute_values(s.poly, s.states[0], 64)
-    hists = [eval_histogram_at(s, n) for n in range(64)]
-    assert hists == brute_histograms(s.poly, s.states[0], 64)
+    assert histogram_prefix(s, 64) == brute_histograms(s.poly, s.states[0], 64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_polys(), st.data())
+def test_histogram_prefix_properties(poly, data):
+    try:
+        s = synthesize(poly, max_states=64)
+    except LimitError:
+        assume(False)
+    count = data.draw(st.integers(0, s.p**2 + 2))  # two-digit indices and their carries
+    rows = histogram_prefix(s, count)
+    assert rows == [eval_histogram_at(s, n) for n in range(count)]
+    assert rows == brute_histograms(s.poly, s.states[0], count)
+    weighted = [sum((c + 1) * h for c, h in enumerate(row)) for row in rows]
+    assert weighted == terms_prefix(s, count)
+
+
+def test_histogram_prefix_cap(base3, monkeypatch):
+    calls = []
+    original = sequence._step
+
+    def counting(scheme, digit, vec):
+        calls.append(1)
+        return original(scheme, digit, vec)
+
+    monkeypatch.setattr(sequence, "_step", counting)
+    # each row is m = 2 state values on each of the p - 1 = 2 residue columns
+    monkeypatch.setattr(sequence, "MAX_STATE_VALUES", 400)
+    assert histogram_prefix(base3, 100) == brute_histograms(base3.poly, base3.states[0], 100)
+    assert len(calls) == 2 * 99
+    calls.clear()
+    with pytest.raises(LimitError):
+        histogram_prefix(base3, 101)
+    assert calls == []
+    assert histogram_prefix(base3, 0) == []
 
 
 def test_eval_cost_is_digit_count(toy, monkeypatch):
