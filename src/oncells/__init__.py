@@ -23,6 +23,8 @@ from .oracle import (
     brute_histograms,
     brute_values,
     eval_at_memo,
+    rlt_check,
+    rlt_expand,
     verify_scheme,
 )
 from .poly import ModPoly, ParseError, ensure_prime, parse_poly
@@ -39,12 +41,9 @@ from .scheme import (
     synthesize,
 )
 from .sequence import (
-    RltReport,
     eval_at,
     eval_histogram_at,
     histogram_prefix,
-    rlt_check,
-    rlt_expand,
     sparse_terms,
     terms_prefix,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "ModPoly",
     "ParseError",
     "RationalGF",
-    "RltReport",
     "Scheme",
     "VerificationReport",
     "brute_histograms",

@@ -112,7 +112,7 @@ def _parse_index(args, p: int) -> int:
     too_long = f"index has more than {limit} decimal digits"
     if args.n is not None:
         text = args.n.strip()
-        if not text.isdigit():
+        if not text.isdecimal():
             raise ValueError(f"--n must be a nonnegative decimal integer, got {text!r}")
         if limit and len(text) > limit:
             raise LimitError(too_long)

@@ -11,19 +11,21 @@ seed's product chain is expanded once per call, and a whole call
 WORK_BUDGET term products before it raises LimitError.  The memoized route
 evaluates the digit recurrence demand-driven, only for the states each
 index n // p^k actually needs, as a second check on the fast path at
-indices far beyond brute force.
+indices far beyond brute force.  Every check of a verification, the p = 2
+run-length-transform check included, reports its first mismatch by one
+rule (_first_failure).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 from .genfun import RationalGF, gf_series
 from .poly import ModPoly
 from .scheme import LimitError, Scheme
-from .sequence import _prefix, eval_at, rlt_check, sparse_terms, terms_prefix
+from .sequence import _prefix, eval_at, sparse_terms, terms_prefix
 
 # Term products (len(current) * len(P) per multiply-reduce step) that one call
 # of brute_values, brute_histograms or verify_scheme may spend on all its
@@ -143,6 +145,15 @@ class CheckResult:
     counterexample: dict | None = None
 
 
+def _first_failure(name: str, cases: Iterable[tuple], informational: bool = False) -> CheckResult:
+    """The first of the (where, expected, got) cases with expected != got fails the check."""
+    for where, expected, got in cases:
+        if expected != got:
+            counterexample = {**where, "expected": expected, "got": got}
+            return CheckResult(name, False, informational, counterexample)
+    return CheckResult(name, True, informational)
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Named check outcomes for one scheme; failing checks carry a counterexample."""
@@ -155,19 +166,7 @@ class VerificationReport:
         return all(c.passed or c.informational for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "ok": self.ok,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "informational": c.informational,
-                    "counterexample": c.counterexample,
-                }
-                for c in self.checks
-            ],
-        }
+        return {"scheme": self.scheme, "ok": self.ok, "checks": [asdict(c) for c in self.checks]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -190,6 +189,45 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def rlt_expand(sparse: list[int], n: int) -> int:
+    """Run-length product: multiply sparse[L] over maximal runs of L ones in binary n.
+
+    The empty product (n = 0) is 1.  Raises ValueError if a run is longer
+    than the supplied sparse values cover.
+    """
+    if n < 0:
+        raise ValueError(f"index must be nonnegative, got {n}")
+    result = 1
+    run = 0
+    while n or run:
+        if n & 1:
+            run += 1
+        elif run:
+            if run >= len(sparse):
+                raise ValueError(f"run of length {run} exceeds the {len(sparse)} supplied values")
+            result *= sparse[run]
+            run = 0
+        n >>= 1
+    return result
+
+
+def rlt_check(scheme: Scheme, limit: int) -> CheckResult:
+    """Informational check: do the values at n < limit equal rlt_expand of the sparse terms?
+
+    Only meaningful in base 2; a failure is a property of the automaton, not
+    an error, so it is reported (got is the product) rather than raised.
+    """
+    if scheme.p != 2:
+        raise ValueError(f"run-length transform check requires p=2, got p={scheme.p}")
+    sparse = sparse_terms(scheme, max(limit - 1, 0).bit_length() + 1)
+    values = terms_prefix(scheme, limit)
+    return _first_failure(
+        "run_length_product",
+        (({"n": n}, value, rlt_expand(sparse, n)) for n, value in enumerate(values)),
+        informational=True,
+    )
+
+
 def verify_scheme(
     scheme: Scheme,
     n_max: int,
@@ -203,129 +241,69 @@ def verify_scheme(
     point of the base vector; sparse terms against direct evaluation; series
     coefficients of an attached generating function, over 2m + 13 terms so
     that the check reads past the 2m terms a fit determines (m the state
-    count); and (p = 2 only, informational) the run-length-transform
-    factorization.  Each state's chain is expanded once, under one
+    count); and (p = 2 only) rlt_check up to rlt_limit, n_max by default.
+    Each check's counterexample is its first mismatch, in the order listed
+    (_first_failure).  Each state's chain is expanded once, under one
     WORK_BUDGET.  The fast side of the first two checks is one prefix per
     base column (terms_prefix, then sequence._prefix on each residue
-    column), and a counterexample's "got" is read from them.  Raises
-    ValueError for n_max < 1 or a negative rlt_limit, and LimitError past
-    WORK_BUDGET or terms_prefix's state-value cap.
+    column).  Raises ValueError for n_max < 1 or a negative rlt_limit, and
+    LimitError past WORK_BUDGET or terms_prefix's state-value cap.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     if rlt_limit is not None and rlt_limit < 0:
         raise ValueError(f"rlt_limit must be nonnegative, got {rlt_limit}")
     p = scheme.p
-    checks: list[CheckResult] = []
 
     chains = _expand(scheme.poly, scheme.states, n_max)
     first, hist_table = zip(*((sum(t.values()), _histogram(t, p)) for t in next(chains)))
     tables = [first] + [[sum(t.values()) for t in chain] for chain in chains]
-
     fast = terms_prefix(scheme, n_max)
-    bad = next((n for n in range(n_max) if fast[n] != tables[0][n]), None)
-    checks.append(
-        CheckResult(
-            "scalar_vs_brute",
-            bad is None,
-            counterexample=None
-            if bad is None
-            else {"n": bad, "expected": tables[0][bad], "got": fast[bad]},
-        )
-    )
-
     # n_max is bounded by WORK_BUDGET and terms_prefix's count x m cap, so the
     # residue columns take no further charge (histogram_prefix's x (p - 1) would
     # refuse checks whose brute force fits the budget)
     fast_h = list(zip(*(_prefix(scheme, n_max, col) for col in zip(*scheme.base_histogram))))
-    bad_h = next((n for n in range(n_max) if fast_h[n] != hist_table[n]), None)
-    checks.append(
-        CheckResult(
-            "histogram_vs_brute",
-            bad_h is None,
-            counterexample=None
-            if bad_h is None
-            else {
-                "n": bad_h,
-                "expected": list(hist_table[bad_h]),
-                "got": list(fast_h[bad_h]),
-            },
-        )
-    )
-
-    recurrence_bad = None
-    for n in range(n_max // p):
-        for j in range(scheme.state_count):
-            for i in range(p):
-                expected = tables[j][p * n + i]
-                got = sum(tables[l - 1][n] for l in scheme.transitions[j][i])
-                if got != expected:
-                    recurrence_bad = {
-                        "state": j + 1,
-                        "digit": i,
-                        "n": n,
-                        "expected": expected,
-                        "got": got,
-                    }
-                    break
-            if recurrence_bad:
-                break
-        if recurrence_bad:
-            break
-    checks.append(
-        CheckResult("recurrence_identity", recurrence_bad is None, counterexample=recurrence_bad)
-    )
-
     base = list(scheme.base_scalar)
-    fixed = [sum(base[l - 1] for l in row[0]) for row in scheme.transitions]
-    checks.append(
-        CheckResult(
-            "base_fixed_point",
-            fixed == base,
-            counterexample=None if fixed == base else {"expected": base, "got": fixed},
-        )
-    )
-
     sparse = sparse_terms(scheme, 2 * scheme.state_count + _SPARSE_COUNT)
-    bad_k = next(
-        (k for k in range(_SPARSE_COUNT + 1) if sparse[k] != eval_at(scheme, p**k - 1)), None
-    )
-    checks.append(
-        CheckResult(
-            "sparse_agreement",
-            bad_k is None,
-            counterexample=None
-            if bad_k is None
-            else {"k": bad_k, "expected": eval_at(scheme, p**bad_k - 1), "got": sparse[bad_k]},
-        )
-    )
 
+    checks = [
+        _first_failure(
+            "scalar_vs_brute", (({"n": n}, tables[0][n], fast[n]) for n in range(n_max))
+        ),
+        _first_failure(
+            "histogram_vs_brute",
+            (({"n": n}, list(hist_table[n]), list(fast_h[n])) for n in range(n_max)),
+        ),
+        _first_failure(
+            "recurrence_identity",
+            (
+                (
+                    {"state": j + 1, "digit": i, "n": n},
+                    tables[j][p * n + i],
+                    sum(tables[l - 1][n] for l in row[i]),
+                )
+                for n in range(n_max // p)
+                for j, row in enumerate(scheme.transitions)
+                for i in range(p)
+            ),
+        ),
+        _first_failure(
+            "base_fixed_point",
+            [({}, base, [sum(base[l - 1] for l in row[0]) for row in scheme.transitions])],
+        ),
+        _first_failure(
+            "sparse_agreement",
+            (({"k": k}, eval_at(scheme, p**k - 1), sparse[k]) for k in range(_SPARSE_COUNT + 1)),
+        ),
+    ]
     if gf is not None:
         series = gf_series(gf, len(sparse))
-        bad_k = next((k for k, v in enumerate(series) if v != sparse[k]), None)
         checks.append(
-            CheckResult(
-                "series_agreement",
-                bad_k is None,
-                counterexample=None
-                if bad_k is None
-                else {"k": bad_k, "expected": sparse[bad_k], "got": series[bad_k]},
+            _first_failure(
+                "series_agreement", (({"k": k}, sparse[k], v) for k, v in enumerate(series))
             )
         )
-
     if p == 2:
-        report = rlt_check(scheme, rlt_limit if rlt_limit is not None else n_max)
-        counter = None
-        if report.counterexample:
-            n, value, product = report.counterexample
-            counter = {"n": n, "expected": value, "got": product}
-        checks.append(
-            CheckResult(
-                "run_length_product",
-                report.passed,
-                informational=True,
-                counterexample=counter,
-            )
-        )
+        checks.append(rlt_check(scheme, rlt_limit if rlt_limit is not None else n_max))
 
     return VerificationReport(scheme=scheme.label(), checks=tuple(checks))

@@ -9,16 +9,13 @@ representation of the recurrence.  Every route runs these steps on one base
 column at a time: base_scalar for values, and each of the p - 1 columns of
 base_histogram for residue histograms.  A single index walks its digits
 (_walk); a prefix takes one step per index, from the vector at n // p
-(_prefix).  The sparse subsequence at n = p^k - 1 is k top-digit steps; for
-p = 2 many schemes are further determined by it through the run-length
-transform, checked here empirically.  A prefix or sparse request larger
-than MAX_STATE_VALUES raises LimitError.
+(_prefix).  The sparse subsequence at n = p^k - 1 is k top-digit steps.  A
+prefix or sparse request larger than MAX_STATE_VALUES raises LimitError.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .scheme import LimitError, Scheme
 
@@ -132,58 +129,3 @@ def sparse_terms(scheme: Scheme, count: int) -> list[int]:
             raise LimitError(f"sparse terms need more than {MAX_STATE_VALUES} state values")
         out.append(vec[0])
     return out
-
-
-def rlt_expand(sparse: list[int], n: int) -> int:
-    """Run-length product: multiply sparse[L] over maximal runs of L ones in binary n.
-
-    The empty product (n = 0) is 1.  Raises ValueError if a run is longer
-    than the supplied sparse values cover.
-    """
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    result = 1
-    run = 0
-    while n:
-        if n & 1:
-            run += 1
-        elif run:
-            if run >= len(sparse):
-                raise ValueError(f"run of length {run} exceeds the {len(sparse)} supplied values")
-            result *= sparse[run]
-            run = 0
-        n >>= 1
-    if run:
-        if run >= len(sparse):
-            raise ValueError(f"run of length {run} exceeds the {len(sparse)} supplied values")
-        result *= sparse[run]
-    return result
-
-
-@dataclass(frozen=True)
-class RltReport:
-    """Outcome of a run-length-transform sweep; counterexample is (n, sequence, product)."""
-
-    passed: bool
-    checked: int
-    counterexample: tuple[int, int, int] | None = None
-
-
-def rlt_check(scheme: Scheme, limit: int) -> RltReport:
-    """Test whether the sequence factors through the run-length transform for n < limit.
-
-    Only meaningful in base 2; a failure is a property of the automaton, not
-    an error, so it is reported rather than raised.
-    """
-    if scheme.p != 2:
-        raise ValueError(f"run-length transform check requires p=2, got p={scheme.p}")
-    if limit <= 0:
-        return RltReport(passed=True, checked=0)
-    max_run = (limit - 1).bit_length()
-    sparse = sparse_terms(scheme, max_run + 1)
-    values = terms_prefix(scheme, limit)
-    for n, value in enumerate(values):
-        product = rlt_expand(sparse, n)
-        if product != value:
-            return RltReport(passed=False, checked=n + 1, counterexample=(n, value, product))
-    return RltReport(passed=True, checked=limit)

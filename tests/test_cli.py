@@ -195,7 +195,12 @@ def test_check_fails_on_bad_scheme(tmp_path, capsys):
     data["transitions"][0][1] = [1, 1]  # structurally valid, semantically wrong
     path.write_text(json.dumps(data))
     assert main(["check", "--scheme", str(path), "--nmax", "16"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    failures = [line for line in capsys.readouterr().out.splitlines() if "FAIL " in line]
+    assert failures == [
+        "  FAIL      scalar_vs_brute  [n=1, expected=3, got=2]",
+        "  FAIL      histogram_vs_brute  [n=1, expected=[3], got=[2]]",
+        "  FAIL      recurrence_identity  [state=1, digit=1, n=0, expected=3, got=2]",
+    ]
 
 
 def test_invalid_input_exit_codes(tmp_path, capsys):
@@ -210,6 +215,11 @@ def test_invalid_input_exit_codes(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith("error: --budget needs --guess\n")
+    # a digit that int() cannot parse gets the CLI's own message, not Python's
+    assert main(["eval", "--scheme", scheme, "--n", "²"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --n must be a nonnegative decimal integer" in captured.err
 
 
 def test_empty_or_negative_ranges_rejected(tmp_path, capsys):

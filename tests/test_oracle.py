@@ -194,6 +194,117 @@ def test_verify_scheme_reports_histogram_counterexample(base3):
     assert "  FAIL      histogram_vs_brute  [n=0, expected=[1, 0], got=[0, 1]]" in lines
 
 
+def _toy_state2_digit1(toy, monkeypatch):
+    # state 2's digit-1 multiset (1, 1) -> (1, 2)
+    broken = dataclasses.replace(toy, transitions=(toy.transitions[0], ((1, 1), (1, 2))))
+    return broken, gf_prove(broken)
+
+
+def _toy_bad_base(toy, monkeypatch):
+    broken = dataclasses.replace(toy, base_scalar=(1, 3), base_histogram=((1,), (3,)))
+    return broken, gf_prove(broken)
+
+
+def _toy_bad_series(toy, monkeypatch):
+    # (1+2t+t^16-t^17-2t^18)/(1-t-2t^2): the toy's generating function plus t^16
+    return toy, RationalGF(num=(1, 2) + (0,) * 14 + (1, -1, -2), den=(1, -1, -2))
+
+
+def _toy_bad_eval_at(toy, monkeypatch):
+    # a consistent scheme cannot fail sparse_agreement, so break the direct side at 2^3 - 1
+    real = oracle.eval_at
+    monkeypatch.setattr(oracle, "eval_at", lambda s, n: real(s, n) + (n == 7))
+    return toy, gf_prove(toy)
+
+
+_PASS = "  pass      "
+
+
+@pytest.mark.parametrize(
+    "make, lines, counterexamples",
+    [
+        (
+            _toy_state2_digit1,
+            [
+                "  FAIL      scalar_vs_brute  [n=3, expected=5, got=6]",
+                "  FAIL      histogram_vs_brute  [n=3, expected=[5], got=[6]]",
+                "  FAIL      recurrence_identity  [state=2, digit=1, n=0, expected=2, got=3]",
+                _PASS + "base_fixed_point",
+                _PASS + "sparse_agreement",
+                _PASS + "series_agreement",
+                _PASS + "run_length_product",
+            ],
+            [
+                {"n": 3, "expected": 5, "got": 6},
+                {"n": 3, "expected": [5], "got": [6]},
+                {"state": 2, "digit": 1, "n": 0, "expected": 2, "got": 3},
+                None,
+                None,
+                None,
+                None,
+            ],
+        ),
+        (
+            _toy_bad_base,
+            [
+                "  FAIL      scalar_vs_brute  [n=1, expected=3, got=4]",
+                "  FAIL      histogram_vs_brute  [n=1, expected=[3], got=[4]]",
+                _PASS + "recurrence_identity",
+                "  FAIL      base_fixed_point  [expected=[1, 3], got=[1, 2]]",
+                _PASS + "sparse_agreement",
+                _PASS + "series_agreement",
+                "  info-fail run_length_product  [n=5, expected=12, got=16]",
+            ],
+            [
+                {"n": 1, "expected": 3, "got": 4},
+                {"n": 1, "expected": [3], "got": [4]},
+                None,
+                {"expected": [1, 3], "got": [1, 2]},
+                None,
+                None,
+                {"n": 5, "expected": 12, "got": 16},
+            ],
+        ),
+        (
+            _toy_bad_series,
+            [
+                _PASS + "scalar_vs_brute",
+                _PASS + "histogram_vs_brute",
+                _PASS + "recurrence_identity",
+                _PASS + "base_fixed_point",
+                _PASS + "sparse_agreement",
+                "  FAIL      series_agreement  [k=16, expected=87381, got=87382]",
+                _PASS + "run_length_product",
+            ],
+            [None] * 5 + [{"k": 16, "expected": 87381, "got": 87382}, None],
+        ),
+        (
+            _toy_bad_eval_at,
+            [
+                _PASS + "scalar_vs_brute",
+                _PASS + "histogram_vs_brute",
+                _PASS + "recurrence_identity",
+                _PASS + "base_fixed_point",
+                "  FAIL      sparse_agreement  [k=3, expected=12, got=11]",
+                _PASS + "series_agreement",
+                _PASS + "run_length_product",
+            ],
+            [None] * 4 + [{"k": 3, "expected": 12, "got": 11}, None, None],
+        ),
+    ],
+    ids=["recurrence", "base", "series", "sparse"],
+)
+def test_verify_scheme_failure_text(toy, monkeypatch, make, lines, counterexamples):
+    scheme, gf = make(toy, monkeypatch)
+    report = verify_scheme(scheme, 16, gf=gf)
+    assert report.render_text().splitlines() == [
+        "scheme: p=2 poly=1+x+x^2 q0=1",
+        *lines,
+        "result: FAILED",
+    ]
+    assert [c["counterexample"] for c in report.to_dict()["checks"]] == counterexamples
+
+
 def test_verify_scheme_histograms_take_the_value_cap_only(base3, monkeypatch):
     # base3: m = 2 and p - 1 = 2 residue columns; a cap that admits the
     # 64-term value prefix (128 state values) refuses histogram_prefix(64)
