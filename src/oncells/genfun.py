@@ -4,12 +4,14 @@ With M the top-digit matrix (M[j][l] is how often l+1 occurs in the digit
 p-1 multiset of state j+1) and c(0) the base vector, the values of state j
 at n = p^k - 1 are e_j^T M^k c(0).  They obey the linear recurrence given
 by the minimal polynomial of M, of order at most the state count m, so
-their generating function is rational.  One algorithm finds it:
-Berlekamp-Massey returns the shortest linear recurrence that generates a
-finite prefix, and a recurrence of order L that generates 2L terms is the
-unique shortest one (Massey, IEEE Trans. IT 15(1), 1969).  Fitting 2m terms
-therefore proves the generating function; fitting fewer gives it whenever
-the true order is at most half the number of terms.  The fit comes out in
+their generating function is rational.  The same holds for the matrix of
+the lumped scheme, so the order is at most its class count m' <= m.  One
+algorithm finds it: Berlekamp-Massey returns the shortest linear
+recurrence that generates a finite prefix, and a recurrence of order L
+that generates 2L terms is the unique shortest one (Massey, IEEE Trans.
+IT 15(1), 1969).  Fitting 2m' terms therefore proves the generating
+function; fitting fewer gives it whenever the true order is at most half
+the number of terms.  The fit comes out in
 lowest terms: a common factor of numerator and denominator would give the
 same series from a shorter recurrence, against the fit's minimality, so no
 gcd step follows it.
@@ -96,11 +98,13 @@ def _fit(terms: list[int], rigorous: bool) -> RationalGF:
 def gf_prove(scheme: Scheme) -> RationalGF:
     """Generating function of the values at n = p^k - 1, proved.
 
-    Those values are e_1^T M^k c(0), so they obey the recurrence of the
-    minimal polynomial of M, of order at most m; the fit of the first 2m
-    terms is therefore the generating function itself.
+    Those values are e_1^T M^k c(0) for the top-digit matrix M of
+    scheme.lumped, whose m' classes take the same values as the m states,
+    so they obey the recurrence of the minimal polynomial of that M, of
+    order at most m'; the fit of the first 2m' terms is therefore the
+    generating function itself.
     """
-    return _fit(sparse_terms(scheme, 2 * scheme.state_count - 1), rigorous=True)
+    return _fit(sparse_terms(scheme, 2 * scheme.lumped.state_count - 1), rigorous=True)
 
 
 def gf_guess(scheme: Scheme, budget: int) -> RationalGF:

@@ -246,14 +246,20 @@ def verify_scheme(
     (_first_failure).  Each state's chain is expanded once, under one
     WORK_BUDGET.  The fast side of the first two checks is one prefix per
     base column (terms_prefix, then sequence._prefix on each residue
-    column).  Raises ValueError for n_max < 1 or a negative rlt_limit, and
-    LimitError past WORK_BUDGET or terms_prefix's state-value cap.
+    column), and like every fast route it steps scheme.lumped.  Brute
+    force, the recurrence identity and the fixed point read the scheme's
+    own transitions, so the checks also test the lumping.  Raises
+    ValueError for n_max < 1, for a negative rlt_limit and for an
+    rlt_limit when p != 2, and LimitError past WORK_BUDGET or
+    terms_prefix's state-value cap.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
+    p = scheme.p
+    if rlt_limit is not None and p != 2:
+        raise ValueError(f"the run-length check (rlt_limit) needs p = 2, got p = {p}")
     if rlt_limit is not None and rlt_limit < 0:
         raise ValueError(f"rlt_limit must be nonnegative, got {rlt_limit}")
-    p = scheme.p
 
     chains = _expand(scheme.poly, scheme.states, n_max)
     first, hist_table = zip(*((sum(t.values()), _histogram(t, p)) for t in next(chains)))
@@ -262,7 +268,8 @@ def verify_scheme(
     # n_max is bounded by WORK_BUDGET and terms_prefix's count x m cap, so the
     # residue columns take no further charge (histogram_prefix's x (p - 1) would
     # refuse checks whose brute force fits the budget)
-    fast_h = list(zip(*(_prefix(scheme, n_max, col) for col in zip(*scheme.base_histogram))))
+    lumped = scheme.lumped
+    fast_h = list(zip(*(_prefix(lumped, n_max, col) for col in zip(*lumped.base_histogram))))
     base = list(scheme.base_scalar)
     sparse = sparse_terms(scheme, 2 * scheme.state_count + _SPARSE_COUNT)
 

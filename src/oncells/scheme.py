@@ -12,12 +12,21 @@ States are found by splitting Q_j * P^i into exponent-residue classes mod p
 new polynomials in first-discovery order: digits ascending, residue classes
 in lexicographic order.  Termination follows from the per-variable degree
 bound max(deg Q_1, deg P), which closure preserves.
+
+Distinct states can still have equal values at every n.  Scheme.lumped
+merges them: two states with equal base values whose digit-i multisets map
+to equal multisets of classes, for every i, are equal at every n by
+induction on the digits of n.  The coarsest such partition is the forward
+bisimulation of the weighted automaton (Buchholz, TCS 393, 2008), found by
+partition refinement (Paige & Tarjan, SIAM J. Comput. 16(6), 1987); its
+quotient is again a Scheme, which the evaluation routes step.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .poly import ModPoly, ensure_prime, parse_poly
 
@@ -49,6 +58,56 @@ class Scheme:
 
     def label(self) -> str:
         return f"p={self.p} poly={self.poly} q0={self.states[0]}"
+
+    @cached_property
+    def lumped(self) -> Scheme:
+        """The quotient by the coarsest forward lumping; self when no two states merge.
+
+        Computed once per object (cached_property writes the instance
+        __dict__, which the frozen dataclass's __eq__ and __hash__ never
+        read).  The partition starts from equal (base_scalar, base_histogram)
+        and is refined by each state's digit multisets of classes until a
+        round adds no class or no two states share one.  Classes are numbered by their lowest member,
+        so state 1's class is class 1; each keeps its lowest member's
+        polynomial and base values, and its multisets are the sorted class
+        numbers of that member's multisets.
+        """
+        classes = _number(zip(self.base_scalar, self.base_histogram))
+        # each key holds the state's class, so a round only splits classes:
+        # m classes, or a round that adds none, is the coarsest stable partition
+        while max(classes) + 1 < self.state_count:
+            get = [None, *classes].__getitem__  # 1-based, as the multisets are
+            refined = _number(
+                (c, tuple(tuple(sorted(map(get, ms))) for ms in row))
+                for c, row in zip(classes, self.transitions)
+            )
+            if max(refined) == max(classes):
+                break
+            classes = refined
+        first: dict[int, int] = {}
+        for j, c in enumerate(classes):
+            first.setdefault(c, j)
+        if len(first) == self.state_count:
+            return self
+        reps = list(first.values())
+        return Scheme(
+            p=self.p,
+            vars=self.vars,
+            poly=self.poly,
+            states=tuple(self.states[r] for r in reps),
+            transitions=tuple(
+                tuple(tuple(sorted(classes[l - 1] + 1 for l in ms)) for ms in self.transitions[r])
+                for r in reps
+            ),
+            base_scalar=tuple(self.base_scalar[r] for r in reps),
+            base_histogram=tuple(self.base_histogram[r] for r in reps),
+        )
+
+
+def _number(keys) -> list[int]:
+    """0-based class of each key, classes numbered in order of first appearance."""
+    index: dict = {}
+    return [index.setdefault(key, len(index)) for key in keys]
 
 
 def degree_bounds(poly: ModPoly, q0: ModPoly) -> tuple[int, ...]:

@@ -37,3 +37,9 @@ def toy():
 @pytest.fixture(scope="session")
 def base3():
     return synthesize(parse_poly("1+x", ("x",), 3))
+
+
+@pytest.fixture(scope="session")
+def t3():
+    """m = 110 states, but only 14 lumped classes."""
+    return synthesize(parse_poly("(1+x+x^2)*(1+y+y^2)*(1+z+z^2)-x*y*z", ("x", "y", "z"), 2))

@@ -38,7 +38,8 @@ def reports(corpus):
     out = {}
     for label, p, raw, s in corpus:
         gf = gf_prove(s)
-        out[(label, p)] = verify_scheme(s, 257, gf=gf, rlt_limit=4096)
+        # the run-length check exists only in base 2
+        out[(label, p)] = verify_scheme(s, 257, gf=gf, rlt_limit=4096 if p == 2 else None)
     return out
 
 

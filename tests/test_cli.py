@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 import time
@@ -6,7 +7,14 @@ from pathlib import Path
 import pytest
 
 import oncells.sequence as sequence
-from oncells import brute_histograms, load_scheme, scheme_from_dict, sparse_terms
+from oncells import (
+    Scheme,
+    brute_histograms,
+    load_scheme,
+    scheme_from_dict,
+    sparse_terms,
+    verify_scheme,
+)
 from oncells.cli import main
 
 SCHEMES_DIR = Path(__file__).resolve().parent.parent / "schemes"
@@ -201,6 +209,33 @@ def test_check_fails_on_bad_scheme(tmp_path, capsys):
         "  FAIL      histogram_vs_brute  [n=1, expected=[3], got=[2]]",
         "  FAIL      recurrence_identity  [state=1, digit=1, n=0, expected=3, got=2]",
     ]
+
+
+def test_check_catches_a_wrong_quotient(tmp_path, capsys, monkeypatch):
+    # the fast routes step Scheme.lumped; the oracles read the file's own
+    # transitions, so a quotient with one multiset entry dropped must fail
+    def dropped(scheme):
+        rows = [list(row) for row in scheme.transitions]
+        rows[0][1] = rows[0][1][:-1]
+        return dataclasses.replace(scheme, transitions=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(Scheme, "lumped", property(dropped))
+    scheme = synth_toy(tmp_path / "toy.json")
+    assert main(["check", "--scheme", scheme, "--nmax", "16"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "  FAIL      scalar_vs_brute  [n=1, expected=3, got=1]" in out
+    assert "  pass      recurrence_identity" in out
+
+
+def test_rlt_limit_needs_base_2(base3, capsys):
+    with pytest.raises(ValueError, match="p = 2"):
+        verify_scheme(base3, 16, rlt_limit=5)
+    scheme = str(SCHEMES_DIR / "p3-univariate-linear.json")
+    assert main(["check", "--scheme", scheme, "--nmax", "16", "--rlt-limit", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the run-length check (rlt_limit) needs p = 2, got p = 3\n"
+    assert main(["check", "--scheme", scheme, "--nmax", "16"]) == 0
 
 
 def test_invalid_input_exit_codes(tmp_path, capsys):

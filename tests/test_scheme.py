@@ -1,7 +1,10 @@
 import dataclasses
 import json
+import random
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
 
 from oncells import (
     LimitError,
@@ -9,14 +12,25 @@ from oncells import (
     brute_histograms,
     brute_values,
     degree_bounds,
+    eval_at,
+    eval_at_memo,
+    eval_histogram_at,
+    gf_prove,
+    histogram_prefix,
+    load_scheme,
     parse_poly,
     scheme_from_json,
     scheme_to_dict,
     scheme_to_json,
+    sparse_terms,
     synthesize,
+    terms_prefix,
 )
+from oncells.genfun import _fit
+from strategies import random_polys
 
 X = ("x",)
+SCHEMES_DIR = Path(__file__).resolve().parent.parent / "schemes"
 
 TOY_FIXTURE = {
     "p": 2,
@@ -200,3 +214,89 @@ def test_states_distinct_canonical(corpus):
 def test_replace_keeps_scheme_frozen(toy):
     with pytest.raises(dataclasses.FrozenInstanceError):
         toy.p = 3
+
+
+@pytest.mark.parametrize(
+    "text, vars, p, states, classes",
+    [
+        ("1+x+x^2", ("x",), 5, 20, 14),
+        ("1+x+x^2", ("x",), 7, 42, 27),
+        ("1+x+x^2", ("x",), 11, 110, 65),
+        ("1+x+x^2+x^3", ("x",), 5, 100, 64),
+        ("1+x+x^4+x^5+x^6", ("x",), 2, 32, 32),
+        ("1+x+x^3+x^5+x^8", ("x",), 2, 128, 128),
+    ],
+)
+def test_lumped_class_counts(text, vars, p, states, classes):
+    s = synthesize(parse_poly(text, vars, p))
+    assert (s.state_count, s.lumped.state_count) == (states, classes)
+    if classes == states:
+        assert s.lumped is s  # nothing merges, nothing is copied
+    rng = random.Random(states)
+    for n in [p**40 - 1] + [rng.randrange(p**60) for _ in range(20)]:
+        assert eval_at(s, n) == eval_at_memo(s, n)
+
+
+def test_lumped_t3_and_shipped_schemes(t3):
+    assert (t3.state_count, t3.lumped.state_count) == (110, 14)
+    counts = {}
+    for path in SCHEMES_DIR.glob("*.json"):
+        s = load_scheme(str(path))
+        counts[path.stem] = (s.state_count, s.lumped.state_count)
+    assert counts == {
+        "p2-bivariate-block": (1, 1),
+        "p2-bivariate-cross": (3, 2),
+        "p2-univariate-linear": (1, 1),
+        "p2-univariate-quadratic": (2, 2),
+        "p3-univariate-linear": (2, 2),
+        "p3-univariate-quadratic": (4, 3),
+    }
+
+
+def test_lumped_is_cached_outside_the_fields(t3):
+    lumped = t3.lumped
+    assert t3.lumped is lumped
+    assert dataclasses.replace(t3) == t3  # equality and hash read the fields only
+    assert hash(dataclasses.replace(t3)) == hash(t3)
+    assert lumped.states[0] == t3.states[0]
+    assert [list(m) for row in lumped.transitions for m in row] == [
+        sorted(m) for row in lumped.transitions for m in row
+    ]
+
+
+def test_lumped_scheme_follows_a_tampered_base(t3):
+    # the lumping must reproduce the scheme as given, not as synthesized, so
+    # that check compares the file's own recurrence against brute force
+    rng = random.Random(110)
+    for j in range(0, t3.state_count, 7):
+        scalar = list(t3.base_scalar)
+        scalar[j] += 1
+        s = dataclasses.replace(t3, base_scalar=tuple(scalar))
+        for n in [0, 1, 2, 3, 2**40 - 1] + [rng.randrange(2**60) for _ in range(5)]:
+            assert eval_at(s, n) == eval_at_memo(s, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_polys(max_vars=3))
+def test_lumped_scheme_agrees_with_oracles(poly):
+    try:
+        s = synthesize(poly, max_states=64)
+    except LimitError:
+        assume(False)
+    p, m = s.p, s.state_count
+    lumped = s.lumped
+    assert lumped.lumped is lumped
+    assert lumped.states[0] == s.states[0]
+    assert lumped.state_count <= m
+    count = 3 * p * p
+    values = brute_values(s.poly, s.states[0], count)
+    assert [eval_at(s, n) for n in range(count)] == values
+    assert [eval_at_memo(s, n) for n in range(count)] == values
+    assert terms_prefix(s, count) == values
+    hists = brute_histograms(s.poly, s.states[0], count)
+    assert histogram_prefix(s, count) == hists
+    assert [eval_histogram_at(s, n) for n in range(0, count, 7)] == hists[::7]
+    assert eval_at(s, 10**30 + 7) == eval_at_memo(s, 10**30 + 7)
+    memo = [eval_at_memo(s, p**k - 1) for k in range(2 * m + 1)]
+    assert sparse_terms(s, 2 * m) == memo
+    assert gf_prove(s) == _fit(memo[: 2 * m], rigorous=True)

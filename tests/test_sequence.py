@@ -209,3 +209,19 @@ def test_eval_cost_is_digit_count(toy, monkeypatch):
     digit_count = len(sequence._digits(n, 2))
     assert len(calls) == digit_count
     assert digit_count == 333
+
+
+def test_eval_steps_the_lumped_scheme(t3, monkeypatch):
+    lengths = []
+    original = sequence._step
+
+    def counting(scheme, digit, vec):
+        out = original(scheme, digit, vec)
+        lengths.append((len(vec), len(out)))
+        return out
+
+    monkeypatch.setattr(sequence, "_step", counting)
+    n = 10**100
+    eval_at(t3, n)
+    # 14 classes of the 110 states, plus the zero slot, one step per digit
+    assert lengths == [(15, 15)] * len(sequence._digits(n, 2))
