@@ -21,7 +21,7 @@ from collections.abc import Iterable
 from .genfun import gf_guess, gf_prove, gf_to_json, gf_to_text
 from .oracle import verify_scheme
 from .poly import ParseError, parse_poly
-from .scheme import LimitError, load_scheme, scheme_to_json, synthesize
+from .scheme import LimitError, load_scheme, save_scheme, scheme_to_json, synthesize
 from .sequence import eval_at, eval_histogram_at, histogram_prefix, sparse_terms, terms_prefix
 
 EXIT_OK = 0
@@ -140,12 +140,10 @@ def _cmd_synth(args) -> tuple[int, str]:
     poly = parse_poly(args.poly, vars, args.prime)
     q0 = parse_poly(args.q0, vars, args.prime)
     scheme = synthesize(poly, q0, max_states=args.max_states)
-    text = scheme_to_json(scheme)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        save_scheme(scheme, args.output)
         return EXIT_OK, ""
-    return EXIT_OK, text
+    return EXIT_OK, scheme_to_json(scheme)
 
 
 def _cmd_eval(args) -> tuple[int, str]:

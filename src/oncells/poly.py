@@ -149,11 +149,6 @@ class ModPoly:
         shifted = {tuple(x - m for x, m in zip(e, mins)): c for e, c in self.terms.items()}
         return ModPoly(self.p, self.vars, shifted)
 
-    def is_canonical(self) -> bool:
-        if not self.terms:
-            return False
-        return all(min(e[v] for e in self.terms) == 0 for v in range(len(self.vars)))
-
     def coeff_sum(self) -> int:
         """Sum of the stored coefficients as plain integers.
 
@@ -198,15 +193,10 @@ class ModPoly:
         if not self.terms:
             return "0"
         parts = []
-        for exps in sorted(self.terms):
-            c = self.terms[exps]
-            factors = []
-            if c != 1 or all(e == 0 for e in exps):
-                factors.append(str(c))
-            for name, e in zip(self.vars, exps):
-                if e == 0:
-                    continue
-                factors.append(name if e == 1 else f"{name}^{e}")
+        for exps, c in self._key:
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(self.vars, exps) if e]
+            if c != 1 or not factors:
+                factors.insert(0, str(c))
             parts.append("*".join(factors))
         return "+".join(parts)
 
@@ -317,9 +307,11 @@ def parse_poly(text: str, vars: tuple[str, ...] | list[str], p: int) -> ModPoly:
 
     Negative exponents (Laurent terms) are preserved; canonicalization is a
     separate step.  Raises ParseError with the offending position on bad
-    syntax or an undeclared variable.
+    syntax or an undeclared variable, TypeError if text is not a string.
     """
     ensure_prime(p)
+    if not isinstance(text, str):
+        raise TypeError(f"expression must be a string, got {type(text).__name__}")
     vars = tuple(vars)
     if len(set(vars)) != len(vars):
         raise ValueError(f"duplicate variable names in {vars}")

@@ -178,12 +178,17 @@ def synthesize(
         transitions.append(tuple(row))
         j += 1
 
+    return _build(poly, tuple(states), tuple(transitions))
+
+
+def _build(poly: ModPoly, states: tuple[ModPoly, ...], transitions) -> Scheme:
+    """The scheme of canonical poly and states, with the bases computed from the states."""
     return Scheme(
-        p=p,
+        p=poly.p,
         vars=poly.vars,
         poly=poly,
-        states=tuple(states),
-        transitions=tuple(transitions),
+        states=states,
+        transitions=transitions,
         base_scalar=tuple(s.coeff_sum() for s in states),
         base_histogram=tuple(s.coeff_histogram() for s in states),
     )
@@ -208,64 +213,51 @@ def scheme_to_json(scheme: Scheme) -> str:
 
 
 def scheme_from_dict(data: dict) -> Scheme:
+    """Rebuild a scheme from its fields; accept exactly what scheme_to_dict writes.
+
+    p, vars, the polynomial and the states are parsed and canonicalized, and
+    each state's p multisets are read and sorted; the bases are recomputed
+    from the states.  Every field of scheme_to_dict of that scheme must then
+    equal the field of the same name (type-strict on the base values, where
+    JSON true would otherwise equal 1), else ValueError names the first that
+    differs.  Transitions are range-checked only: nothing ties them to the
+    polynomial, so a multiset that names the wrong states still loads, and
+    verify_scheme (`oncells check`) is what catches it.
+    """
     try:
         p = ensure_prime(data["p"])
         vars = data["vars"]
         if type(vars) is not list or not all(type(v) is str for v in vars):
             raise ValueError(f"vars must be a list of names, got {vars!r}")
-        vars = tuple(vars)
-        poly = parse_poly(data["polynomial"], vars, p)
-        states = tuple(parse_poly(s, vars, p) for s in data["states"])
+        poly = parse_poly(data["polynomial"], vars, p).canonical()
+        states = tuple(parse_poly(s, vars, p).canonical() for s in data["states"])
+        m = len(states)
+        if m == 0:
+            raise ValueError("scheme has no states")
+        if len(set(states)) != m:
+            raise ValueError("duplicate states")
+        rows = data["transitions"]
         transitions = tuple(
-            tuple(tuple(d) for d in row) for row in data["transitions"]
+            tuple(_multiset(rows[j][i], m) for i in range(p)) for j in range(m)
         )
-        base_scalar = tuple(data["base_scalar"])
-        base_histogram = tuple(tuple(h) for h in data["base_histogram"])
-        q0 = parse_poly(data["q0"], vars, p)
-    except (KeyError, TypeError) as exc:
+        scheme = _build(poly, states, transitions)
+        for field, value in scheme_to_dict(scheme).items():
+            given = data[field]
+            if field.startswith("base_"):
+                value, given = json.dumps(value), json.dumps(given)
+            if value != given:
+                raise ValueError(f"field {field!r} differs from the scheme rebuilt from the file")
+    except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed scheme data: {exc}") from exc
+    return scheme
 
-    m = len(states)
-    if m == 0:
-        raise ValueError("scheme has no states")
-    if q0 != states[0]:
-        raise ValueError("q0 does not match the first state")
-    if not poly.is_canonical():
-        raise ValueError("polynomial is not canonical")
-    if len(set(states)) != m:
-        raise ValueError("duplicate states")
-    for s in states:
-        if s.is_zero() or not s.is_canonical():
-            raise ValueError(f"state {s} is not canonical and nonzero")
-    if len(transitions) != m or len(base_scalar) != m or len(base_histogram) != m:
-        raise ValueError("transition or base tables do not match the state count")
-    for row in transitions:
-        if len(row) != p:
-            raise ValueError("each state needs one multiset per digit")
-        for multiset in row:
-            # exact int: JSON true would otherwise pass as 1
-            for idx in multiset:
-                if type(idx) is not int or not 1 <= idx <= m:
-                    raise ValueError(f"state index {idx!r} out of range 1..{m}")
-            if list(multiset) != sorted(multiset):
-                raise ValueError(f"multiset {multiset} is not sorted")
-    for j, s in enumerate(states):
-        if base_scalar[j] != s.coeff_sum() or type(base_scalar[j]) is not int:
-            raise ValueError(f"base_scalar[{j}] does not match state {s}")
-        if base_histogram[j] != s.coeff_histogram() or not all(
-            type(c) is int for c in base_histogram[j]
-        ):
-            raise ValueError(f"base_histogram[{j}] does not match state {s}")
 
-    return Scheme(
-        p=p,
-        vars=vars,
-        poly=poly,
-        states=states,
-        transitions=transitions,
-        base_scalar=base_scalar,
-        base_histogram=base_histogram,
-    )
+def _multiset(indices, m: int) -> tuple[int, ...]:
+    for idx in indices:
+        # exact int: JSON true would otherwise pass as 1
+        if type(idx) is not int or not 1 <= idx <= m:
+            raise ValueError(f"state index {idx!r} out of range 1..{m}")
+    return tuple(sorted(indices))
 
 
 def scheme_from_json(text: str) -> Scheme:

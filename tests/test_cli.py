@@ -334,8 +334,9 @@ def test_corrupt_scheme_file_rejected(tmp_path, capsys):
         (("base_scalar", 0), True),
         (("base_histogram", 0), [True]),
         (("vars",), "x"),
+        (("states", 1), ["1+x"]),
     ],
-    ids=["index-true", "index-str", "base-scalar-true", "histogram-true", "vars-str"],
+    ids=["index-true", "index-str", "base-scalar-true", "histogram-true", "vars-str", "state-list"],
 )
 def test_non_integer_scheme_entries_rejected(tmp_path, capsys, field, value):
     # JSON true equals 1 and is an int subclass in Python; it must still be refused
@@ -351,6 +352,29 @@ def test_non_integer_scheme_entries_rejected(tmp_path, capsys, field, value):
     bad.write_text(json.dumps(data))
     assert main(["eval", "--scheme", str(bad), "--n", "5"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("states", ["1", "x+1"]),
+        ("states", [" 1", "1+x"]),
+        ("q0", " 1"),
+        ("polynomial", "1+x+x^2+x"),  # parses to 1+x^2
+    ],
+    ids=["state-order", "state-space", "q0-space", "poly-parses-to-another"],
+)
+def test_non_canonical_spellings_rejected(tmp_path, capsys, field, value):
+    # the loader accepts what the writer writes: each polynomial and state
+    # string must be str() of its own parse
+    data = json.loads((SCHEMES_DIR / "p2-univariate-quadratic.json").read_text())
+    data[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["eval", "--scheme", str(bad), "--n", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: field {field!r} differs from the scheme rebuilt from the file\n"
 
 
 def test_deeply_nested_input_rejected(tmp_path, capsys):

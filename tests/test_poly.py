@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from oncells import ModPoly, ParseError, ensure_prime, parse_poly
+from strategies import random_polys
 
 X = ("x",)
 XY = ("x", "y")
@@ -194,3 +196,9 @@ def test_str_round_trip():
     assert str(ModPoly.zero(2, X)) == "0"
     assert str(parse_poly("1+x+x^2", X, 2)) == "1+x+x^2"
     assert str(parse_poly("2*x+1", X, 3)) == "1+2*x"
+
+
+@given(random_polys(max_vars=3))
+def test_str_round_trip_property(poly):
+    # the scheme loader compares each state's string with str of its parse
+    assert parse_poly(str(poly), poly.vars, poly.p) == poly

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oncells import (
     LimitError,
@@ -19,15 +20,17 @@ from oncells import (
     histogram_prefix,
     load_scheme,
     parse_poly,
+    scheme_from_dict,
     scheme_from_json,
     scheme_to_dict,
     scheme_to_json,
     sparse_terms,
     synthesize,
     terms_prefix,
+    verify_scheme,
 )
 from oncells.genfun import _fit
-from strategies import random_polys
+from strategies import random_polys, seeds, symmetric_products
 
 X = ("x",)
 SCHEMES_DIR = Path(__file__).resolve().parent.parent / "schemes"
@@ -195,6 +198,67 @@ def test_load_rejects_corrupt_data(toy):
         scheme_from_json(json.dumps(bad))
 
 
+@settings(max_examples=100, deadline=None)
+@given(random_polys(max_vars=3), st.data())
+def test_json_round_trip_property(poly, data):
+    q0 = data.draw(st.none() | seeds(poly))
+    try:
+        s = synthesize(poly, q0, max_states=64)
+    except LimitError:
+        assume(False)
+    text = scheme_to_json(s)
+    loaded = scheme_from_json(text)
+    assert loaded == s
+    assert scheme_to_json(loaded) == text
+
+
+def _leaves(node, where=()):
+    """(path, value) of every int and string leaf of a JSON tree."""
+    if isinstance(node, dict):
+        node = node.items()
+    elif isinstance(node, list):
+        node = enumerate(node)
+    else:
+        yield where, node
+        return
+    for key, child in node:
+        yield from _leaves(child, where + (key,))
+
+
+def _mutations(value):
+    """Each int +-1, true, as a float and as a string; each string with +x
+    appended, its leading 1+ dropped, and with a leading space."""
+    if type(value) is int:
+        return [value + 1, value - 1, True, float(value), str(value)]
+    dropped = [value[2:]] if value.startswith("1+") else []
+    return [value + "+x", *dropped, " " + value]
+
+
+@pytest.mark.parametrize("path", sorted(SCHEMES_DIR.glob("*.json")), ids=lambda path: path.stem)
+def test_single_leaf_mutations_are_refused_or_caught(path):
+    # the loader holds every derived field to the writer's form; the
+    # transitions are range-checked only, and nothing ties them to the
+    # polynomial, so a mutation there may load.  It must then fail check, or
+    # name a bisimilar state, so that the automaton stepped stays the same.
+    data = json.loads(path.read_text())
+    original = scheme_from_dict(data)
+    for where, value in _leaves(data):
+        for new in _mutations(value):
+            mutated = json.loads(json.dumps(data))
+            *keys, last = where
+            target = mutated
+            for key in keys:
+                target = target[key]
+            target[last] = new
+            try:
+                s = scheme_from_json(json.dumps(mutated))
+            except ValueError:
+                continue
+            assert where[0] in ("transitions", "polynomial"), (where, new)
+            caught = not verify_scheme(s, 64, gf=gf_prove(s)).ok
+            assert caught or s.lumped == original.lumped, (where, new)
+
+
 def test_transitions_are_sorted_multisets(corpus):
     for _, _, _, s in corpus:
         for row in s.transitions:
@@ -207,7 +271,7 @@ def test_states_distinct_canonical(corpus):
     for _, _, _, s in corpus:
         assert len(set(s.states)) == s.state_count
         for q in s.states:
-            assert q.is_canonical()
+            assert q.canonical() == q
             assert not q.is_zero()
 
 
@@ -276,11 +340,13 @@ def test_lumped_scheme_follows_a_tampered_base(t3):
             assert eval_at(s, n) == eval_at_memo(s, n)
 
 
-@settings(max_examples=100, deadline=None)
-@given(random_polys(max_vars=3))
-def test_lumped_scheme_agrees_with_oracles(poly):
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_polys(max_vars=3), symmetric_products()), st.data())
+def test_lumped_scheme_agrees_with_oracles(poly, data):
+    # random_polys alone rarely lumps; symmetric products and seeds q0 do
+    q0 = data.draw(st.none() | seeds(poly))
     try:
-        s = synthesize(poly, max_states=64)
+        s = synthesize(poly, q0, max_states=64)
     except LimitError:
         assume(False)
     p, m = s.p, s.state_count
