@@ -10,7 +10,6 @@ n = p^k - 1, and verifies everything against a brute-force oracle.
 
 from .genfun import (
     RationalGF,
-    gf_guess,
     gf_prove,
     gf_series,
     gf_to_dict,
@@ -65,7 +64,6 @@ __all__ = [
     "eval_at",
     "eval_at_memo",
     "eval_histogram_at",
-    "gf_guess",
     "gf_prove",
     "gf_series",
     "gf_to_dict",

@@ -18,7 +18,7 @@ import json
 import sys
 from collections.abc import Iterable
 
-from .genfun import gf_guess, gf_prove, gf_to_json, gf_to_text
+from .genfun import gf_prove, gf_to_json, gf_to_text
 from .oracle import verify_scheme
 from .poly import ParseError, parse_poly
 from .scheme import LimitError, load_scheme, save_scheme, scheme_to_json, synthesize
@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gf = sub.add_parser("gf", help="generating function of the sparse subsequence")
     gf.add_argument("--scheme", required=True)
     gf.add_argument("--guess", action="store_true", help="fit the first --budget sparse terms")
-    gf.add_argument("--budget", type=int, help="terms for --guess (default 2m+2)")
+    gf.add_argument("--budget", type=int, help="terms for --guess (default 2m', the proof)")
     gf.add_argument("--json", action="store_true")
 
     check = sub.add_parser("check", help="verify a scheme against the brute-force oracle")
@@ -186,12 +186,7 @@ def _cmd_sparse(args) -> tuple[int, str]:
 def _cmd_gf(args) -> tuple[int, str]:
     if args.budget is not None and not args.guess:
         raise ValueError("--budget needs --guess")
-    scheme = load_scheme(args.scheme)
-    if args.guess:
-        budget = args.budget if args.budget is not None else 2 * scheme.state_count + 2
-        gf = gf_guess(scheme, budget)
-    else:
-        gf = gf_prove(scheme)
+    gf = gf_prove(load_scheme(args.scheme), args.budget)
     _printable(gf.num + gf.den)
     return EXIT_OK, gf_to_json(gf) if args.json else gf_to_text(gf) + "\n"
 

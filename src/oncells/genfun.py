@@ -95,30 +95,24 @@ def _fit(terms: list[int], rigorous: bool) -> RationalGF:
     )
 
 
-def gf_prove(scheme: Scheme) -> RationalGF:
-    """Generating function of the values at n = p^k - 1, proved.
+def gf_prove(scheme: Scheme, budget: int | None = None) -> RationalGF:
+    """Generating function of the values at n = p^k - 1, fitted to the first `budget` terms.
 
     Those values are e_1^T M^k c(0) for the top-digit matrix M of
     scheme.lumped, whose m' classes take the same values as the m states,
     so they obey the recurrence of the minimal polynomial of that M, of
-    order at most m'; the fit of the first 2m' terms is therefore the
-    generating function itself.
+    order at most m'.  The fit of the first 2m' terms, the default budget,
+    is therefore the generating function itself, and the result is flagged
+    rigorous exactly when budget >= 2m'.  A smaller budget gives it whenever
+    budget is at least twice its order.  Raises ValueError for budget < 1,
+    and when a fit of fewer than 2m' terms is not an integer fraction.
     """
-    return _fit(sparse_terms(scheme, 2 * scheme.lumped.state_count - 1), rigorous=True)
-
-
-def gf_guess(scheme: Scheme, budget: int) -> RationalGF:
-    """Fit the sparse-subsequence generating function from `budget` terms.
-
-    The fit is the shortest recurrence those terms admit, so it is the true
-    generating function whenever budget is at least twice its order.  The
-    result is flagged rigorous when budget >= 2m+2, which covers every
-    order the degree bound m (the state count) allows.
-    """
-    m = scheme.state_count
-    if budget < m + 2:
-        raise ValueError(f"term budget {budget} too small; need at least {m + 2}")
-    return _fit(sparse_terms(scheme, budget - 1), rigorous=budget >= 2 * m + 2)
+    proof = 2 * scheme.lumped.state_count
+    if budget is None:
+        budget = proof
+    if budget < 1:
+        raise ValueError(f"term budget {budget} too small; need at least 1")
+    return _fit(sparse_terms(scheme, budget - 1), rigorous=budget >= proof)
 
 
 def gf_series(gf: RationalGF, count: int) -> list[int]:

@@ -19,8 +19,8 @@ rule (_first_failure).
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator
 
 from .genfun import RationalGF, gf_series
 from .poly import ModPoly
@@ -265,7 +265,7 @@ def verify_scheme(
     first, hist_table = zip(*((sum(t.values()), _histogram(t, p)) for t in next(chains)))
     tables = [first] + [[sum(t.values()) for t in chain] for chain in chains]
     fast = terms_prefix(scheme, n_max)
-    # n_max is bounded by WORK_BUDGET and terms_prefix's count x m cap, so the
+    # n_max is bounded by WORK_BUDGET and terms_prefix's count x m' cap, so the
     # residue columns take no further charge (histogram_prefix's x (p - 1) would
     # refuse checks whose brute force fits the budget)
     lumped = scheme.lumped

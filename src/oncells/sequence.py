@@ -14,7 +14,8 @@ base_scalar for values, and each of the p - 1 columns of base_histogram for
 residue histograms.  A single index walks its digits (_walk); a prefix takes
 one step per index, from the vector at n // p (_prefix).  The sparse
 subsequence at n = p^k - 1 is k top-digit steps.  A prefix or sparse
-request larger than MAX_STATE_VALUES raises LimitError.
+request whose vectors of scheme.lumped would hold more than MAX_STATE_VALUES
+values raises LimitError.
 """
 
 from __future__ import annotations
@@ -23,19 +24,19 @@ from collections.abc import Sequence
 
 from .scheme import LimitError, Scheme
 
-# State values (count x m per base column, m the state count) that one
+# State values (count x m' per base column, m' the class count of
+# scheme.lumped, whose vectors are the ones stepped and kept) that one
 # terms_prefix, histogram_prefix or sparse_terms call may compute; a
-# histogram prefix has p - 1 columns.  The caps charge the m of the scheme
-# passed in, the file's, not the smaller class count of the lumped scheme
-# that is stepped.  A sparse term also counts once more per 1024 bits of the
-# largest state value, since those grow exponentially in k and a count cap
-# alone would not bound their size.  At the cap, measured through the CLI
-# on a 2-vCPU x86 VM: `terms` takes 2.7 s and 135 MiB for 1+x mod 2 (m = 1,
-# count 10^6) and 0.24 s and 22 MiB for (1+x+x^2)(1+y+y^2)(1+z+z^2)-xyz
-# mod 2 (m = 110 lumped to 14, count 9090), and `terms --histogram` the
-# same 0.24 s and 22 MiB there and 0.5 s and 17 MiB for 1+x+x^2 mod 11
-# (m = 110 lumped to 65, 10 columns, count 909); the fastest-growing
-# `sparse`, 1+x mod 2 with terms 2^k, stops near count 44,000 at 142 MiB.
+# histogram prefix has p - 1 columns.  A sparse term also counts m' more per
+# 1024 bits of the largest state value, since those grow exponentially in k
+# and a count cap alone would not bound their size.  At the cap, measured
+# through the CLI on a 2-vCPU x86 VM: `terms` takes 2.7 s and 135 MiB for
+# 1+x mod 2 (m' = 1, count 10^6) and 0.80 s and 62 MiB for
+# (1+x+x^2)(1+y+y^2)(1+z+z^2)-xyz mod 2 (m = 110 lumped to 14, count
+# 71428), and `terms --histogram` 0.87 s and 62 MiB there and 0.66 s and
+# 17 MiB for 1+x+x^2 mod 11 (m = 110 lumped to 65, 10 columns, count 1538);
+# the fastest-growing `sparse`, 1+x mod 2 with terms 2^k, stops near count
+# 44,000 at 142 MiB.
 MAX_STATE_VALUES = 10**6
 
 
@@ -56,12 +57,12 @@ def _step(scheme: Scheme, digit: int, vec: Sequence[int]) -> list[int]:
     return [0] + [sum(map(get, row[digit])) for row in scheme.transitions]
 
 
-def _check_count(scheme: Scheme, count: int) -> int:
-    """What count state vectors leave of MAX_STATE_VALUES; LimitError if they exceed it."""
-    left = MAX_STATE_VALUES - count * scheme.state_count
+def _check_count(lumped: Scheme, count: int) -> int:
+    """What count vectors of lumped leave of MAX_STATE_VALUES; LimitError if they exceed it."""
+    left = MAX_STATE_VALUES - count * lumped.state_count
     if left < 0:
         raise LimitError(
-            f"request needs {count * scheme.state_count} state values, "
+            f"request needs {count * lumped.state_count} state values, "
             f"more than the {MAX_STATE_VALUES} allowed"
         )
     return left
@@ -104,41 +105,40 @@ def eval_histogram_at(scheme: Scheme, n: int) -> tuple[int, ...]:
 def terms_prefix(scheme: Scheme, count: int) -> list[int]:
     """Sequence values at n < count, one digit step each.
 
-    Raises LimitError, before any step, when count x m passes MAX_STATE_VALUES.
+    Raises LimitError, before any step, when count x m' passes MAX_STATE_VALUES.
     """
-    _check_count(scheme, count)
     lumped = scheme.lumped
+    _check_count(lumped, count)
     return _prefix(lumped, count, lumped.base_scalar)
 
 
 def histogram_prefix(scheme: Scheme, count: int) -> list[tuple[int, ...]]:
     """Residue histograms at n < count: the prefix of terms_prefix on each residue column.
 
-    Raises LimitError, before any step, when count x m x (p - 1) passes
+    Raises LimitError, before any step, when count x m' x (p - 1) passes
     MAX_STATE_VALUES.
     """
-    _check_count(scheme, count * (scheme.p - 1))
     lumped = scheme.lumped
+    _check_count(lumped, count * (scheme.p - 1))
     return list(zip(*(_prefix(lumped, count, col) for col in zip(*lumped.base_histogram))))
 
 
 def sparse_terms(scheme: Scheme, count: int) -> list[int]:
     """Values at n = p^k - 1 for k = 0..count: repeated top-digit steps.
 
-    Raises LimitError, before any step, when count x m passes
+    Raises LimitError, before any step, when count x m' passes
     MAX_STATE_VALUES, and as soon as the terms' size does.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    left = _check_count(scheme, count)
     lumped = scheme.lumped
+    left = _check_count(lumped, count)
     top = scheme.p - 1
     vec = [0, *lumped.base_scalar]
     out = [vec[1]]
     for _ in range(count):
         vec = _step(lumped, top, vec)
-        # the classes take exactly the states' values, so max(vec) is the file's
-        left -= scheme.state_count * (max(vec).bit_length() >> 10)
+        left -= lumped.state_count * (max(vec).bit_length() >> 10)
         if left < 0:
             raise LimitError(f"sparse terms need more than {MAX_STATE_VALUES} state values")
         out.append(vec[1])

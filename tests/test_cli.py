@@ -110,10 +110,16 @@ def test_terms_histogram(tmp_path, capsys):
 
 
 def test_terms_histogram_charges_count_m_per_column(tmp_path, capsys, monkeypatch):
-    # 1+x+x^2 mod 5: m = 20, p - 1 = 4 columns, so 64 rows need exactly 5120 state values
+    # 1+x+x^2 mod 5: m = 20 states lump to m' = 14 classes, and the cap charges
+    # the vectors that are stepped; with p - 1 = 4 columns, 64 rows need
+    # exactly 64 x 14 x 4 = 3584 state values
     path = tmp_path / "c5.json"
     assert main(["synth", "-p", "5", "--vars", "x", "--poly", "1+x+x^2", "-o", str(path)]) == 0
-    monkeypatch.setattr(sequence, "MAX_STATE_VALUES", 5120)
+    monkeypatch.setattr(sequence, "MAX_STATE_VALUES", 64 * 14)
+    assert main(["terms", "--scheme", str(path), "--count", "64", "--json"]) == 0
+    assert main(["terms", "--scheme", str(path), "--count", "65"]) == 3
+    capsys.readouterr()
+    monkeypatch.setattr(sequence, "MAX_STATE_VALUES", 64 * 14 * 4)
     assert main(["terms", "--scheme", str(path), "--count", "64", "--histogram", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)["histograms"]
     s = load_scheme(str(path))
@@ -146,14 +152,18 @@ def test_gf(tmp_path, capsys):
 
 
 def test_gf_guess_low_budget(capsys):
-    # 4 terms already fix the order-2 recurrence, though not the rigor bound 2m+2
+    # m' = 2: 4 terms are the proof, 3 fit a wrong recurrence that is not flagged rigorous
     scheme = str(SCHEMES_DIR / "p2-univariate-quadratic.json")
     assert main(["gf", "--scheme", scheme, "--guess", "--budget", "4", "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == {
         "num": [1, 2],
         "den": [1, -1, -2],
-        "rigorous": False,
+        "rigorous": True,
     }
+    assert main(["gf", "--scheme", scheme, "--guess", "--budget", "3"]) == 0
+    assert capsys.readouterr().out == "(1)/(1-3*t+4*t^2)\n"
+    assert main(["gf", "--scheme", scheme, "--guess", "--budget", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rigorous"] is False
 
 
 @pytest.fixture(scope="module")

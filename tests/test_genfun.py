@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from oncells import (
     LimitError,
     RationalGF,
-    gf_guess,
     gf_prove,
     gf_series,
     gf_to_dict,
@@ -161,30 +160,31 @@ def test_gf_prove_base3(base3):
 
 
 def test_gf_guess_matches_prove(toy, base3):
-    assert gf_guess(toy, 8) == gf_prove(toy)
-    assert gf_guess(toy, 8).rigorous
-    assert gf_guess(base3, 8) == gf_prove(base3)
+    assert gf_prove(toy, 8) == gf_prove(toy)
+    assert gf_prove(toy, 8).rigorous
+    assert gf_prove(base3, 8) == gf_prove(base3)
 
 
 def test_gf_guess_rigor_flag(toy):
-    # minimum budget is m+2; rigor needs 2m+2
-    low = gf_guess(toy, 5)
-    assert (low.num, low.den) == ((1, 2), (1, -1, -2))
+    # the toy has m' = 2 classes: rigor needs 2m' = 4 terms, and a budget must be positive
+    low = gf_prove(toy, 3)
+    assert (low.num, low.den) == ((1,), (1, -3, 4))
     assert not low.rigorous
+    assert gf_prove(toy, 4).rigorous
     with pytest.raises(ValueError):
-        gf_guess(toy, 3)
+        gf_prove(toy, 0)
 
 
 def test_gf_guess_constant_sequence():
     s = synthesize(parse_poly("x^5", ("x",), 2))
-    gf = gf_guess(s, 2 * s.state_count + 2)
+    gf = gf_prove(s, 2 * s.state_count + 2)
     assert (gf.num, gf.den) == ((1,), (1, -1))
 
 
 def test_gf_prove_equals_guess_corpus(corpus):
     for _, _, _, s in corpus:
         budget = 2 * s.state_count + 2
-        assert gf_guess(s, budget) == gf_prove(s)
+        assert gf_prove(s, budget) == gf_prove(s)
 
 
 def test_gf_series():
@@ -215,7 +215,7 @@ def test_corpus_generating_functions_pinned(expr, vars, p, num, den):
     s = synthesize(parse_poly(expr, vars, p))
     proved = gf_prove(s)
     assert (proved.num, proved.den, proved.rigorous) == (num, den, True)
-    assert gf_guess(s, 2 * s.state_count + 2) == proved
+    assert gf_prove(s, 2 * s.state_count + 2) == proved
 
 
 @settings(max_examples=40, deadline=None)
@@ -231,6 +231,15 @@ def test_gf_prove_properties(poly):
     assert len(gf.den) - 1 <= m
     det = _system_det(s)
     assert _pmul(_pdiv_exact(det, list(gf.den)), list(gf.den)) == det
+    proof = 2 * s.lumped.state_count
+    fit = gf_prove(s, proof)
+    assert fit.rigorous and fit == gf_prove(s, 2 * m + 2)
+    try:
+        short = gf_prove(s, proof - 1)
+    except ValueError as exc:  # the shortest recurrence of 2m' - 1 terms need not be integral
+        assert "integer fraction" in str(exc)
+    else:
+        assert not short.rigorous
 
 
 def test_corpus_fits_are_coprime():
