@@ -165,26 +165,6 @@ class ModPoly:
             counts[c - 1] += 1
         return tuple(counts)
 
-    def residue_split(self) -> dict[tuple[int, ...], ModPoly]:
-        """Partition terms by exponent residues mod p, dividing exponents by p.
-
-        Each term c*x^e contributes c*x^(e div p) to the class keyed e mod p.
-        Classes that would be zero are omitted.  Keys are returned in
-        lexicographic order.  Requires nonnegative exponents.
-        """
-        p = self.p
-        classes: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        for exps, c in self.terms.items():
-            if any(x < 0 for x in exps):
-                raise ValueError(f"negative exponent in {exps}; canonicalize first")
-            alpha = tuple(x % p for x in exps)
-            quot = tuple(x // p for x in exps)
-            classes.setdefault(alpha, {})[quot] = c
-        return {
-            alpha: ModPoly(p, self.vars, classes[alpha])
-            for alpha in sorted(classes)
-        }
-
     def __str__(self) -> str:
         """Canonical expression string: terms in lexicographic exponent order.
 
@@ -258,17 +238,17 @@ class _Parser:
         return result
 
     def _expr(self) -> ModPoly:
+        """A lone term as parsed; a sum accumulated in one dict and built once."""
         result = self._term()
-        while True:
-            op = self._peek()
-            if op == "+":
-                self.pos += 1
-                result = result + self._term()
-            elif op == "-":
-                self.pos += 1
-                result = result - self._term()
-            else:
-                return result
+        sums = None
+        while (op := self._peek()) in ("+", "-"):
+            self.pos += 1
+            if sums is None:
+                sums = dict(result.terms)
+            sign = 1 if op == "+" else -1
+            for exps, c in self._term().terms.items():
+                sums[exps] = sums.get(exps, 0) + sign * c
+        return result if sums is None else ModPoly(self.p, self.vars, sums)
 
     def _term(self) -> ModPoly:
         result = self._factor()

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, floordiv, mod, sub
 
 from .poly import ModPoly, ensure_prime, parse_poly
 
@@ -132,8 +133,10 @@ def synthesize(
     first (legal because the functionals ignore monomial factors).  The
     worklist closure is sequential and byte-deterministic: states are
     numbered in first-discovery order with digits ascending and residue
-    classes in lexicographic order.  Raises LimitError if more than
-    max_states states appear, ValueError if max_states is below 1.
+    classes in lexicographic order.  It works on sorted (exponents, coeff)
+    term tuples, each product split and canonicalized in one pass, and
+    builds one ModPoly per state once it ends.  Raises LimitError if more
+    than max_states states appear, ValueError if max_states is below 1.
     """
     if max_states < 1:
         raise ValueError(f"max_states must be at least 1, got {max_states}")
@@ -146,38 +149,55 @@ def synthesize(
     if q0.p != poly.p or q0.vars != poly.vars:
         raise ValueError("seed and polynomial must share modulus and variables")
 
-    p = poly.p
+    p, vars = poly.p, poly.vars
     poly = poly.canonical()
-    powers = [ModPoly.one(p, poly.vars)]
+    powers = [ModPoly.one(p, vars)]
     for _ in range(1, p):
         powers.append(powers[-1] * poly)
+    powers = [q._key for q in powers]
+    ps, zero = (p,) * len(vars), (0,) * len(vars)
 
-    seed = q0.canonical()
-    states: list[ModPoly] = [seed]
-    index: dict[ModPoly, int] = {seed: 1}
+    states = [q0.canonical()._key]  # the ModPoly._key of each canonical state
+    index = {states[0]: 1}
     transitions: list[tuple[tuple[int, ...], ...]] = []
-
-    j = 0
-    while j < len(states):
-        state = states[j]
+    for state in states:
         row = []
-        for i in range(p):
-            product = state * powers[i]
+        for power in powers:
+            product: dict[tuple[int, ...], int] = {}
+            for ea, ca in state:
+                for eb, cb in power:
+                    e = tuple(map(add, ea, eb))
+                    product[e] = product.get(e, 0) + ca * cb
+            classes: dict[tuple[int, ...], list] = {}
+            for e, c in product.items():
+                c %= p
+                if c:
+                    quotient = (tuple(map(floordiv, e, ps)), c)
+                    classes.setdefault(tuple(map(mod, e, ps)), []).append(quotient)
             multiset = []
-            for quotient in product.residue_split().values():
-                canon = quotient.canonical()
-                idx = index.get(canon)
+            for alpha in sorted(classes):
+                terms = classes[alpha]
+                if len(terms) == 1:  # map(min, *exps) needs two exponent tuples
+                    key = ((zero, terms[0][1]),)
+                else:
+                    low = tuple(map(min, *(e for e, _ in terms)))
+                    if low != zero:
+                        terms = [(tuple(map(sub, e, low)), c) for e, c in terms]
+                    key = tuple(sorted(terms))
+                idx = index.get(key)
                 if idx is None:
                     if len(states) >= max_states:
                         raise LimitError(f"state count exceeded max_states={max_states}")
-                    states.append(canon)
+                    states.append(key)
                     idx = len(states)
-                    index[canon] = idx
+                    index[key] = idx
                 multiset.append(idx)
             row.append(tuple(sorted(multiset)))
         transitions.append(tuple(row))
-        j += 1
 
+    del index  # so that each key is freed as its ModPoly replaces it
+    for j, key in enumerate(states):
+        states[j] = ModPoly(p, vars, dict(key))
     return _build(poly, tuple(states), tuple(transitions))
 
 

@@ -5,6 +5,7 @@ from hypothesis import given
 
 from oncells import ModPoly, ParseError, ensure_prime, parse_poly
 from strategies import random_polys
+from test_scheme import _residue_split
 
 X = ("x",)
 XY = ("x", "y")
@@ -63,6 +64,20 @@ def test_parse_errors():
     except ParseError as exc:
         err = exc
     assert err is not None and err.position == 2
+
+
+def test_parse_builds_one_polynomial_per_sum(monkeypatch):
+    calls = []
+    init = ModPoly.__init__
+
+    def counting_init(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ModPoly, "__init__", counting_init)
+    a = parse_poly("1+x+x^2+x^3+x^4", X, 2)
+    assert len(calls) == 6  # five factors and one sum
+    assert a.terms == {(e,): 1 for e in range(5)}
 
 
 def test_canonicalize():
@@ -155,23 +170,23 @@ def test_monomial_invariance():
 
 def test_residue_split():
     a = parse_poly("1+2*x+x^2", X, 3)
-    split = a.residue_split()
+    split = _residue_split(a)
     assert {k: v.terms for k, v in split.items()} == {
         ((0,)): {(0,): 1},
         ((1,)): {(0,): 2},
         ((2,)): {(0,): 1},
     }
     b = parse_poly("1+x^2+x^4", X, 2)
-    assert b.residue_split() == {(0,): parse_poly("1+x+x^2", X, 2)}
+    assert _residue_split(b) == {(0,): parse_poly("1+x+x^2", X, 2)}
     c = ModPoly.constant(3, XY, 2)
-    assert c.residue_split() == {(0, 0): c}
+    assert _residue_split(c) == {(0, 0): c}
     with pytest.raises(ValueError):
-        parse_poly("x^-1+x", X, 2).residue_split()
+        _residue_split(parse_poly("x^-1+x", X, 2))
 
 
 def test_residue_split_keys_sorted():
     a = parse_poly("x+y+x^2*y+x*y^2", XY, 2)
-    assert list(a.residue_split().keys()) == sorted(a.residue_split().keys())
+    assert list(_residue_split(a).keys()) == sorted(_residue_split(a).keys())
 
 
 def test_residue_split_reconstruction():
@@ -181,7 +196,7 @@ def test_residue_split_reconstruction():
         for _ in range(25):
             a = random_poly(rng, p, 2)
             total = ModPoly.zero(p, a.vars)
-            for alpha, part in a.residue_split().items():
+            for alpha, part in _residue_split(a).items():
                 mono = ModPoly(p, a.vars, {alpha: 1})
                 total = total + mono * scaled_exponents(part, p)
             assert total == a

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -30,6 +31,7 @@ from oncells import (
     verify_scheme,
 )
 from oncells.genfun import _fit
+from oncells.scheme import _build
 from strategies import random_polys, seeds, symmetric_products
 
 X = ("x",)
@@ -45,6 +47,57 @@ TOY_FIXTURE = {
     "base_scalar": [1, 2],
     "base_histogram": [[1], [2]],
 }
+
+
+def _residue_split(poly: ModPoly) -> dict[tuple[int, ...], ModPoly]:
+    """Partition terms by exponent residues mod p, dividing exponents by p.
+
+    Each term c*x^e contributes c*x^(e div p) to the class keyed e mod p.
+    Classes that would be zero are omitted.  Keys are returned in
+    lexicographic order.  Requires nonnegative exponents.
+    """
+    p = poly.p
+    classes: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for exps, c in poly.terms.items():
+        if any(x < 0 for x in exps):
+            raise ValueError(f"negative exponent in {exps}; canonicalize first")
+        alpha = tuple(x % p for x in exps)
+        quot = tuple(x // p for x in exps)
+        classes.setdefault(alpha, {})[quot] = c
+    return {alpha: ModPoly(p, poly.vars, classes[alpha]) for alpha in sorted(classes)}
+
+
+def _reference_synthesize(poly: ModPoly, q0: ModPoly | None = None, max_states: int = 100_000):
+    """The closure over ModPoly states that synthesize replaced, kept as a reference.
+
+    Same numbering and the same LimitError; inputs are assumed valid.
+    """
+    p = poly.p
+    poly = poly.canonical()
+    powers = [ModPoly.one(p, poly.vars)]
+    for _ in range(1, p):
+        powers.append(powers[-1] * poly)
+    seed = (q0 or ModPoly.one(p, poly.vars)).canonical()
+    states = [seed]
+    index = {seed: 1}
+    transitions = []
+    for state in states:
+        row = []
+        for power in powers:
+            multiset = []
+            for quotient in _residue_split(state * power).values():
+                canon = quotient.canonical()
+                idx = index.get(canon)
+                if idx is None:
+                    if len(states) >= max_states:
+                        raise LimitError(f"state count exceeded max_states={max_states}")
+                    states.append(canon)
+                    idx = len(states)
+                    index[canon] = idx
+                multiset.append(idx)
+            row.append(tuple(sorted(multiset)))
+        transitions.append(tuple(row))
+    return _build(poly, tuple(states), tuple(transitions))
 
 
 def test_toy_scheme(toy):
@@ -155,6 +208,51 @@ def test_synthesis_deterministic(corpus):
     for _, _, raw, s in corpus:
         again = synthesize(raw)
         assert scheme_to_json(again) == scheme_to_json(s)
+
+
+def _synth_json(synth, poly, q0, max_states):
+    try:
+        return scheme_to_json(synth(poly, q0, max_states=max_states))
+    except LimitError:
+        return LimitError
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_polys(max_vars=3), st.data())
+def test_synthesize_matches_reference(poly, data):
+    # seeds carry coefficients 2..p-1, so products cancel mod p and classes vanish
+    q0 = data.draw(st.none() | seeds(poly))
+    try:
+        m = _reference_synthesize(poly, q0, max_states=64).state_count
+    except LimitError:
+        assume(False)
+    k = data.draw(st.integers(1, m + 1))
+    expected = _synth_json(_reference_synthesize, poly, q0, k)
+    assert (expected is LimitError) == (k < m)
+    assert _synth_json(synthesize, poly, q0, k) == expected
+
+
+@pytest.mark.parametrize(
+    "text, vars, p, digest",
+    [
+        ("1+x+x^2", ("x",), 5, "b378e75045c608cb2d4737df28647056bdafbc9205ba93b26026fa17a81851bd"),
+        ("1+x+x^2", ("x",), 7, "2c6c8b8deb1f0def316e710df634f9aadbd570770687f1cbe7f0c32697198c73"),
+        ("1+x+x^2", ("x",), 11, "519270f461e42147e5accfa47ca2b0363efa929bf5f75a4db571f957af9ac3d0"),
+        ("1+x+x^2+x^3", ("x",), 5, "40665ab9f76a82ba94fc24b5a6a5d98d304262df212b6672cd01a7fb044b847e"),
+        ("1+x+x^4+x^5+x^6", ("x",), 2, "aa9cef88df124d1389aff8d95b4400a4628f6fd763606a74698f1ff7c224ee78"),
+        ("1+x+x^3+x^5+x^8", ("x",), 2, "4ae0e26e978ed5cd81f2da55f964d142e46b43fe930d5e59c2ee9d95873e3fb4"),
+        (
+            "(1+x+x^2)*(1+y+y^2)*(1+z+z^2)-x*y*z",
+            ("x", "y", "z"),
+            2,
+            "ea7feabf1bab3b1cf6ce3e39046fea827360c8fd3fc70a0dbfccd8d052b258d8",
+        ),
+    ],
+    ids=["c5", "c7", "c11", "q5", "r6", "r8", "t3"],
+)
+def test_synthesized_bytes_pinned(text, vars, p, digest):
+    text = scheme_to_json(synthesize(parse_poly(text, vars, p)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_json_fixture(toy):
