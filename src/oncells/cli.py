@@ -6,9 +6,12 @@ prefix of the sequence), sparse (the subsequence at p^k - 1), gf (proved
 or guessed generating function), check (verify a scheme against the
 brute-force oracle).
 
-Each command builds its whole output before writing it.  Exit codes: 0
-success, 1 verification failure, 2 invalid input, 3 resource limit (state
-cap, brute-force work budget, term cap, or an integer too long for str()).
+Each command builds its whole output before writing it.  Only gf and check
+import the generating-function and oracle modules, so the other commands
+start without them.  Exit codes: 0 success, 1 verification failure, 2
+invalid input, 3 resource limit (state cap, brute-force work budget, term
+cap, a --budget too small for an integer fraction, or an integer too long
+for str()).
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ import json
 import sys
 from collections.abc import Iterable
 
-from .genfun import gf_prove, gf_to_json, gf_to_text
-from .oracle import verify_scheme
 from .poly import ParseError, parse_poly
 from .scheme import LimitError, load_scheme, save_scheme, scheme_to_json, synthesize
 from .sequence import eval_at, eval_histogram_at, histogram_prefix, sparse_terms, terms_prefix
@@ -184,6 +185,8 @@ def _cmd_sparse(args) -> tuple[int, str]:
 
 
 def _cmd_gf(args) -> tuple[int, str]:
+    from .genfun import gf_prove, gf_to_json, gf_to_text
+
     if args.budget is not None and not args.guess:
         raise ValueError("--budget needs --guess")
     gf = gf_prove(load_scheme(args.scheme), args.budget)
@@ -192,8 +195,18 @@ def _cmd_gf(args) -> tuple[int, str]:
 
 
 def _cmd_check(args) -> tuple[int, str]:
+    from .genfun import gf_prove
+    from .oracle import verify_scheme
+
     scheme = load_scheme(args.scheme)
     report = verify_scheme(scheme, args.nmax, gf=gf_prove(scheme), rlt_limit=args.rlt_limit)
+    _printable(  # counterexample values are ints or lists of ints
+        x
+        for c in report.checks
+        if c.counterexample
+        for v in c.counterexample.values()
+        for x in (v if isinstance(v, list) else [v])
+    )
     text = report.to_json() if args.json else report.render_text() + "\n"
     return EXIT_OK if report.ok else EXIT_VERIFY, text
 

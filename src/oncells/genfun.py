@@ -20,15 +20,14 @@ gcd step follows it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .scheme import Scheme
+from .scheme import LimitError, Scheme
 from .sequence import sparse_terms
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(namedtuple("RationalGF", "num den rigorous")):
     """A reduced rational function num/den in one variable t.
 
     num and den are ascending integer coefficient tuples with no trailing
@@ -38,17 +37,20 @@ class RationalGF:
     records whether the object was fitted from enough terms to be forced.
     """
 
-    num: tuple[int, ...]
-    den: tuple[int, ...]
-    rigorous: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.den or self.den[0] != 1:
-            raise ValueError(f"denominator must have constant term 1, got {self.den}")
-        if len(self.den) > 1 and self.den[-1] == 0:
+    def __new__(cls, num: tuple[int, ...], den: tuple[int, ...], rigorous: bool = True):
+        if not den or den[0] != 1:
+            raise ValueError(f"denominator must have constant term 1, got {den}")
+        if len(den) > 1 and den[-1] == 0:
             raise ValueError("denominator has trailing zero coefficients")
-        if self.num != (0,) and (not self.num or self.num[-1] == 0):
-            raise ValueError(f"numerator not trimmed: {self.num}")
+        if num != (0,) and (not num or num[-1] == 0):
+            raise ValueError(f"numerator not trimmed: {num}")
+        return super().__new__(cls, num, den, rigorous)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through here, so it checks too
+        return cls(*fields)
 
 
 def _trim(coeffs: list) -> list:
@@ -105,14 +107,24 @@ def gf_prove(scheme: Scheme, budget: int | None = None) -> RationalGF:
     is therefore the generating function itself, and the result is flagged
     rigorous exactly when budget >= 2m'.  A smaller budget gives it whenever
     budget is at least twice its order.  Raises ValueError for budget < 1,
-    and when a fit of fewer than 2m' terms is not an integer fraction.
+    and LimitError when a fit of fewer than 2m' terms is not an integer
+    fraction: too few terms, not a malformed request.
     """
     proof = 2 * scheme.lumped.state_count
     if budget is None:
         budget = proof
     if budget < 1:
         raise ValueError(f"term budget {budget} too small; need at least 1")
-    return _fit(sparse_terms(scheme, budget - 1), rigorous=budget >= proof)
+    terms = sparse_terms(scheme, budget - 1)
+    try:
+        return _fit(terms, rigorous=budget >= proof)
+    except ValueError:
+        if budget >= proof:
+            raise
+        raise LimitError(
+            f"the first {budget} sparse terms fit no integer fraction; "
+            f"a budget of 2m' = {proof} proves one"
+        ) from None
 
 
 def gf_series(gf: RationalGF, count: int) -> list[int]:

@@ -19,8 +19,8 @@ rule (_first_failure).
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass
 
 from .genfun import RationalGF, gf_series
 from .poly import ModPoly
@@ -137,12 +137,9 @@ def eval_at_memo(scheme: Scheme, n: int) -> int:
     return values[1]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    informational: bool = False
-    counterexample: dict | None = None
+CheckResult = namedtuple(
+    "CheckResult", "name passed informational counterexample", defaults=(False, None)
+)
 
 
 def _first_failure(name: str, cases: Iterable[tuple], informational: bool = False) -> CheckResult:
@@ -154,19 +151,17 @@ def _first_failure(name: str, cases: Iterable[tuple], informational: bool = Fals
     return CheckResult(name, True, informational)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(namedtuple("VerificationReport", "scheme checks")):
     """Named check outcomes for one scheme; failing checks carry a counterexample."""
 
-    scheme: str
-    checks: tuple[CheckResult, ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return all(c.passed or c.informational for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {"scheme": self.scheme, "ok": self.ok, "checks": [asdict(c) for c in self.checks]}
+        return {"scheme": self.scheme, "ok": self.ok, "checks": [c._asdict() for c in self.checks]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"

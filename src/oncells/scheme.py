@@ -25,7 +25,7 @@ quotient is again a Scheme, which the evaluation routes step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from operator import add, floordiv, mod, sub
 
@@ -36,22 +36,16 @@ class LimitError(RuntimeError):
     """A resource limit (state count, brute-force work budget, output digits) was hit."""
 
 
-@dataclass(frozen=True)
-class Scheme:
-    """A synthesized recurrence scheme.  Immutable; safe to share.
+class Scheme(namedtuple("Scheme", "p vars poly states transitions base_scalar base_histogram")):
+    """A synthesized recurrence scheme.  An immutable namedtuple; safe to share.
 
-    transitions[j][i] is the sorted tuple of 1-based state indices of the
-    digit-i multiset for state j+1.  base_scalar[j] and base_histogram[j]
-    are the n=0 values coeff_sum(Q_{j+1}) and coeff_histogram(Q_{j+1}).
+    p is the prime, vars the variable names, poly the canonical P and
+    states the canonical ModPolys Q_1..Q_m.  transitions[j][i] is the
+    sorted tuple of 1-based state indices of the digit-i multiset for
+    state j+1.  base_scalar[j] and base_histogram[j] are the n=0 values
+    coeff_sum(Q_{j+1}) and coeff_histogram(Q_{j+1}).  No __slots__, so
+    that cached_property has an instance __dict__ to write.
     """
-
-    p: int
-    vars: tuple[str, ...]
-    poly: ModPoly
-    states: tuple[ModPoly, ...]
-    transitions: tuple[tuple[tuple[int, ...], ...], ...]
-    base_scalar: tuple[int, ...]
-    base_histogram: tuple[tuple[int, ...], ...]
 
     @property
     def state_count(self) -> int:
@@ -65,13 +59,13 @@ class Scheme:
         """The quotient by the coarsest forward lumping; self when no two states merge.
 
         Computed once per object (cached_property writes the instance
-        __dict__, which the frozen dataclass's __eq__ and __hash__ never
-        read).  The partition starts from equal (base_scalar, base_histogram)
-        and is refined by each state's digit multisets of classes until a
-        round adds no class or no two states share one.  Classes are numbered by their lowest member,
-        so state 1's class is class 1; each keeps its lowest member's
-        polynomial and base values, and its multisets are the sorted class
-        numbers of that member's multisets.
+        __dict__, which the tuple's __eq__ and __hash__ never read).  The
+        partition starts from equal (base_scalar, base_histogram) and is
+        refined by each state's digit multisets of classes until a round adds
+        no class or no two states share one.  Classes are numbered by their
+        lowest member, so state 1's class is class 1; each keeps its lowest
+        member's polynomial and base values, and its multisets are the sorted
+        class numbers of that member's multisets.
         """
         classes = _number(zip(self.base_scalar, self.base_histogram))
         # each key holds the state's class, so a round only splits classes:

@@ -1,16 +1,20 @@
-import dataclasses
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import oncells
+import oncells.oracle as oracle
 import oncells.sequence as sequence
 from oncells import (
     Scheme,
     brute_histograms,
     load_scheme,
+    save_scheme,
     scheme_from_dict,
     sparse_terms,
     verify_scheme,
@@ -166,6 +170,30 @@ def test_gf_guess_low_budget(capsys):
     assert json.loads(capsys.readouterr().out)["rigorous"] is False
 
 
+def test_gf_guess_budget_below_the_proof_is_a_limit(t3, tmp_path, capsys):
+    # t3 lumps to m' = 14, so 2m' = 28 terms are the proof.  The shortest
+    # recurrences of the first 4..21 terms have non-integer coefficients: too
+    # few terms is a limit (exit 3), not invalid input (exit 2)
+    path = str(tmp_path / "t3.json")
+    save_scheme(t3, path)
+    proof = 2 * t3.lumped.state_count
+    refused = []
+    for budget in range(1, proof + 1):
+        rc = main(["gf", "--scheme", path, "--guess", "--budget", str(budget), "--json"])
+        captured = capsys.readouterr()
+        assert rc in (0, 3), budget
+        if rc == 3:
+            refused.append(budget)
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: the first {budget} sparse terms fit no integer fraction; "
+                f"a budget of 2m' = {proof} proves one\n"
+            )
+        else:
+            assert json.loads(captured.out)["rigorous"] is (budget == proof)
+    assert refused == list(range(4, 22))
+
+
 @pytest.fixture(scope="module")
 def r8(tmp_path_factory):
     """1+x+x^3+x^5+x^8 mod 2: 128 states."""
@@ -227,7 +255,7 @@ def test_check_catches_a_wrong_quotient(tmp_path, capsys, monkeypatch):
     def dropped(scheme):
         rows = [list(row) for row in scheme.transitions]
         rows[0][1] = rows[0][1][:-1]
-        return dataclasses.replace(scheme, transitions=tuple(map(tuple, rows)))
+        return scheme._replace(transitions=tuple(map(tuple, rows)))
 
     monkeypatch.setattr(Scheme, "lumped", property(dropped))
     scheme = synth_toy(tmp_path / "toy.json")
@@ -326,6 +354,26 @@ def test_unprintable_output_is_a_limit(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="interpreter converts integers of any length")
+@pytest.mark.parametrize("where", ["value", "histogram"])
+def test_unprintable_counterexample_is_a_limit(tmp_path, capsys, monkeypatch, where):
+    # a counterexample integer too long for str() exits 3 with nothing on
+    # stdout, as any other output integer does
+    big = 10 ** max(4999, DIGIT_LIMIT)
+    if where == "value":
+        failed = oracle.CheckResult("scalar_vs_brute", False, False, {"n": 1, "expected": big})
+    else:
+        failed = oracle.CheckResult("histogram_vs_brute", False, False, {"got": [1, big]})
+    report = oracle.VerificationReport("toy", (failed,))
+    monkeypatch.setattr(oracle, "verify_scheme", lambda *args, **kwargs: report)
+    scheme = synth_toy(tmp_path / "toy.json")
+    for argv in (["check", "--scheme", scheme], ["check", "--scheme", scheme, "--json"]):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: output integer has more than")
+
+
 def test_corrupt_scheme_file_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     synth_toy(path)
@@ -421,3 +469,50 @@ def test_shipped_schemes_are_current(tmp_path):
     for path in sorted(SCHEMES_DIR.glob("*.json")):
         shipped = load_scheme(str(path))
         assert scheme_to_json(synthesize(shipped.poly, shipped.states[0])) == path.read_text()
+
+
+# modules that eval, terms and sparse never need: the generating functions,
+# the oracle, and dataclasses with what it imports
+GATED = {"oncells.genfun", "oncells.oracle", "dataclasses", "inspect", "fractions"}
+
+
+def _loaded_by(statement: str) -> set[str]:
+    """Modules that `statement` adds to sys.modules in a fresh interpreter.
+
+    What the interpreter itself loads at start-up (site) does not count.
+    """
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{statement}\n"
+        "print(*set(sys.modules) - before)\n"
+    )
+    src = str(Path(oncells.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return set(done.stdout.split())
+
+
+def test_cli_import_loads_only_what_eval_needs():
+    loaded = _loaded_by("import oncells.cli")
+    assert "oncells.cli" in loaded
+    assert not loaded & GATED
+
+
+def test_package_exports_resolve_on_first_use():
+    assert not {m for m in _loaded_by("import oncells") if m.startswith("oncells.")}
+    for name in oncells.__all__:
+        obj = getattr(oncells, name)
+        assert obj.__module__.startswith("oncells.")
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    namespace = {}
+    exec("from oncells import *", namespace)
+    assert all(namespace[name] is getattr(oncells, name) for name in oncells.__all__)
+    with pytest.raises(AttributeError):
+        oncells.nope

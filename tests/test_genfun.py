@@ -236,7 +236,7 @@ def test_gf_prove_properties(poly):
     assert fit.rigorous and fit == gf_prove(s, 2 * m + 2)
     try:
         short = gf_prove(s, proof - 1)
-    except ValueError as exc:  # the shortest recurrence of 2m' - 1 terms need not be integral
+    except LimitError as exc:  # the shortest recurrence of 2m' - 1 terms need not be integral
         assert "integer fraction" in str(exc)
     else:
         assert not short.rigorous
@@ -286,6 +286,8 @@ def test_rationalgf_validation():
         RationalGF(num=(1, 0), den=(1,))  # untrimmed numerator
     with pytest.raises(ValueError):
         RationalGF(num=(1,), den=(1, 0))  # untrimmed denominator
+    with pytest.raises(ValueError):
+        RationalGF(num=(1,), den=(1,))._replace(den=(2,))  # a copy is checked too
 
 
 def test_gf_json_shape(toy):

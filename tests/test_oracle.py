@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -148,7 +146,7 @@ def test_verify_scheme_passes(toy):
 def test_verify_scheme_catches_corruption(toy):
     # break the digit-1 multiset of state 1: [1,2] -> [1,1]
     bad_transitions = (((1,), (1, 1)), toy.transitions[1])
-    broken = dataclasses.replace(toy, transitions=bad_transitions)
+    broken = toy._replace(transitions=bad_transitions)
     report = verify_scheme(broken, 16)
     assert not report.ok
     failed = {c.name: c for c in report.checks if not c.passed and not c.informational}
@@ -174,7 +172,7 @@ def test_series_agreement_reads_past_the_fitted_terms(toy):
 
 
 def test_verify_scheme_catches_bad_base(toy):
-    broken = dataclasses.replace(toy, base_scalar=(1, 1), base_histogram=((1,), (1,)))
+    broken = toy._replace(base_scalar=(1, 1), base_histogram=((1,), (1,)))
     report = verify_scheme(broken, 16)
     assert not report.ok
     names = {c.name for c in report.checks if not c.passed and not c.informational}
@@ -183,7 +181,7 @@ def test_verify_scheme_catches_bad_base(toy):
 
 def test_verify_scheme_reports_histogram_counterexample(base3):
     # swapped residue columns: the scalar route stays right, the histogram one does not
-    broken = dataclasses.replace(base3, base_histogram=((0, 1), (1, 0)))
+    broken = base3._replace(base_histogram=((0, 1), (1, 0)))
     report = verify_scheme(broken, 16)
     assert not report.ok
     hist = next(c for c in report.checks if c.name == "histogram_vs_brute")
@@ -196,12 +194,12 @@ def test_verify_scheme_reports_histogram_counterexample(base3):
 
 def _toy_state2_digit1(toy, monkeypatch):
     # state 2's digit-1 multiset (1, 1) -> (1, 2)
-    broken = dataclasses.replace(toy, transitions=(toy.transitions[0], ((1, 1), (1, 2))))
+    broken = toy._replace(transitions=(toy.transitions[0], ((1, 1), (1, 2))))
     return broken, gf_prove(broken)
 
 
 def _toy_bad_base(toy, monkeypatch):
-    broken = dataclasses.replace(toy, base_scalar=(1, 3), base_histogram=((1,), (3,)))
+    broken = toy._replace(base_scalar=(1, 3), base_histogram=((1,), (3,)))
     return broken, gf_prove(broken)
 
 
@@ -354,7 +352,7 @@ def test_verify_scheme_properties(poly, data):
     row = list(s.transitions[j])
     row[i] = multiset[:k] + multiset[k + 1 :]
     transitions = s.transitions[:j] + (tuple(row),) + s.transitions[j + 1 :]
-    broken = dataclasses.replace(s, transitions=transitions)
+    broken = s._replace(transitions=transitions)
     recurrence = next(
         c for c in verify_scheme(broken, n_max).checks if c.name == "recurrence_identity"
     )

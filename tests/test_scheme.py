@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -374,7 +373,7 @@ def test_states_distinct_canonical(corpus):
 
 
 def test_replace_keeps_scheme_frozen(toy):
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         toy.p = 3
 
 
@@ -418,8 +417,8 @@ def test_lumped_t3_and_shipped_schemes(t3):
 def test_lumped_is_cached_outside_the_fields(t3):
     lumped = t3.lumped
     assert t3.lumped is lumped
-    assert dataclasses.replace(t3) == t3  # equality and hash read the fields only
-    assert hash(dataclasses.replace(t3)) == hash(t3)
+    assert t3._replace() == t3  # equality and hash read the fields only
+    assert hash(t3._replace()) == hash(t3)
     assert lumped.states[0] == t3.states[0]
     assert [list(m) for row in lumped.transitions for m in row] == [
         sorted(m) for row in lumped.transitions for m in row
@@ -433,7 +432,7 @@ def test_lumped_scheme_follows_a_tampered_base(t3):
     for j in range(0, t3.state_count, 7):
         scalar = list(t3.base_scalar)
         scalar[j] += 1
-        s = dataclasses.replace(t3, base_scalar=tuple(scalar))
+        s = t3._replace(base_scalar=tuple(scalar))
         for n in [0, 1, 2, 3, 2**40 - 1] + [rng.randrange(2**60) for _ in range(5)]:
             assert eval_at(s, n) == eval_at_memo(s, n)
 

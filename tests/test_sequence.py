@@ -112,9 +112,7 @@ def test_rlt_check(toy, base3):
 
 def test_rlt_check_reports_counterexample(toy):
     # a deliberately broken base vector cannot factor through run lengths
-    import dataclasses
-
-    broken = dataclasses.replace(toy, base_scalar=(1, 3), base_histogram=((1,), (3,)))
+    broken = toy._replace(base_scalar=(1, 3), base_histogram=((1,), (3,)))
     report = rlt_check(broken, 64)
     assert not report.passed
     n = report.counterexample["n"]
