@@ -2,11 +2,15 @@
 
 Brute force recomputes values from the definition: multiply out Q * P^n one
 factor of P at a time, reducing coefficients mod p after every step, then
-sum or tally the coefficients.  The multiplication here is its own plain
-dict convolution, deliberately separate from the fast evaluation path, so
-the two sides of every comparison stay independent; it runs one loop for
-any number of variables, on exponent vectors packed into single ints.  Each
-seed's product chain is expanded once per call, and a whole call
+sum or tally the coefficients.  The multiplication here is its own,
+deliberately separate from the fast evaluation path, so the two sides of
+every comparison stay independent.  It runs one kernel for any number of
+variables and any p: a product is a dict of rows, each row one int that
+holds the coefficients along one packed coordinate as fixed-width fields,
+keyed by the other coordinates packed into a single int (_expand, _axes).
+A step multiplies each row by each run of P's nearby terms, then reduces
+every field of a row mod p at once (bytes.translate for 1-byte fields).
+Each seed's product chain is expanded once per call, and a whole call
 (brute_values, brute_histograms or verify_scheme) spends at most
 WORK_BUDGET term products before it raises LimitError.  The memoized route
 evaluates the digit recurrence demand-driven, only for the states each
@@ -19,100 +23,260 @@ rule (_first_failure).
 from __future__ import annotations
 
 import json
-from collections import namedtuple
-from collections.abc import Iterable, Iterator
+import sys
+from array import array
+from collections import Counter, namedtuple
+from collections.abc import Callable, Iterable, Iterator
+from fractions import Fraction
+from math import gcd, lcm
+from operator import mul, sub
 
 from .genfun import RationalGF, gf_series
 from .poly import ModPoly
 from .scheme import LimitError, Scheme
-from .sequence import _prefix, eval_at, sparse_terms, terms_prefix
+from .sequence import _check_count, _prefix, eval_at, sparse_terms, terms_prefix
 
-# Term products (len(current) * len(P) per multiply-reduce step) that one call
-# of brute_values, brute_histograms or verify_scheme may spend on all its
-# chains.  verify_scheme needs 7.8e6 for x^-1+x+y^-1+y mod 2 at n_max = 257
+# Term products that one call of brute_values, brute_histograms or
+# verify_scheme may spend on all its chains, charged per step as the nonzero
+# terms of the current product times len(P), what a term-by-term convolution
+# multiplies.  verify_scheme needs 7.8e6 for x^-1+x+y^-1+y mod 2 at n_max = 257
 # (the largest check in the tests) and 5.5e6 for (1+x+x^2)(1+y+y^2)(1+z+z^2)
-# -xyz mod 2 (m = 110) at 8; at 32 that scheme stops here after about 4 s
-# on a 2-vCPU x86 VM.
+# -xyz mod 2 (m = 110) at 8; at 32 that scheme stops here after about 0.25 s
+# on a 2-vCPU x86 VM.  Products whose rows hold about one term each spend it
+# slowest: brute force on x^3y^-1z^2+x^4z^3+yz+x^-2y^2+xyz^-3+z^-1 mod 2
+# stops after about 30 s there.
 WORK_BUDGET = 15 * 10**6
 
 # verify_scheme checks the sparse terms at k <= _SPARSE_COUNT against eval_at, and
 # the series up to k = 2m + _SPARSE_COUNT, past the 2m terms a fit uses.
 _SPARSE_COUNT = 12
 
+# P's terms in one row whose fields lie at most this many bits apart act as one multiplier
+_CLUSTER_GAP = 32
+_ORDER = sys.byteorder
+# array typecodes by item size: the field widths a row may use, narrowest first
+_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
 
-def _mul_mod(a: dict, b: dict, p: int) -> dict:
+
+def _axes(poly: ModPoly) -> list[tuple[int, ...]]:
+    """Rows of the integer matrix that takes exponent vectors to the coordinates rows pack.
+
+    If poly's exponents minus its lowest are linearly independent, poly is
+    a monomial times c0 + c1*X1 + ... + cr*Xr in monomials Xi, however thin
+    its terms look in the variables.  Those differences, completed by unit
+    vectors to a basis, become the axes: the matrix is that basis's inverse
+    scaled to integers, and poly's powers pack as densely as those of
+    1 + x + y + z.  Otherwise the axes are the variables.  Either matrix is
+    invertible, so distinct monomials keep distinct coordinates, and
+    linear, so multiplying monomials adds their coordinates.
+    """
+    n = len(poly.vars)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    exps = sorted(poly.terms)
+    diffs = [tuple(map(sub, e, exps[0])) for e in exps[1:]]
+    basis, echelon = [], []
+    for i, vec in enumerate(diffs + units):
+        rest = list(map(Fraction, vec))
+        for row, col in echelon:
+            rest = [a - rest[col] * b for a, b in zip(rest, row)]
+        col = next((j for j, x in enumerate(rest) if x), None)
+        if col is not None:
+            echelon.append(([x / rest[col] for x in rest], col))
+            basis.append(vec)
+        elif i < len(diffs):
+            return units
+    # Gauss-Jordan on [basis as columns | I] leaves the inverse on the right
+    rows = [[Fraction(b[i]) for b in basis] + list(unit) for i, unit in enumerate(units)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c:
+                rows[r] = [a - rows[r][c] * b for a, b in zip(rows[r], rows[c])]
+    scale = lcm(*(x.denominator for row in rows for x in row[n:]))
+    return [tuple(int(x * scale) for x in row[n:]) for row in rows]
+
+
+def _spans(terms: dict, n: int) -> list[int]:
+    """Per coordinate, the highest minus the lowest of the n-coordinate keys of terms."""
+    return [max(col) - min(col) for col in zip(*terms)] or [0] * n
+
+
+def _columns(terms: dict, v: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """(other coordinates, coordinate v, coefficient) for each of the terms.
+
+    With no coordinates at all, every term's coordinate v is 0.
+    """
+    return [(e[:v] + e[v + 1 :], e[v] if e else 0, c) for e, c in terms.items()]
+
+
+def _field_ops(p: int, width: int) -> tuple[Callable, Callable]:
+    """(reduce, tally) for rows of width-byte coefficient fields mod p.
+
+    reduce takes rows of ints and returns rows of field sequences, every
+    field reduced mod p, and the number of nonzero fields; rows left with
+    none are dropped.  A field sequence is bytes for 1-byte fields, reduced
+    by one translate, and an array of width-byte items otherwise; either
+    sums with sum() and counts zeros with .count.  tally gives the rows'
+    residue histogram, the count of each of 1 .. p-1.
+    """
+    residues = range(1, p)
+    if width == 1:
+        table = bytes(i % p for i in range(256))
+
+        def fields(row: int):
+            return row.to_bytes((row.bit_length() + 7) >> 3, _ORDER).translate(table)
+
+        def tally(rows: dict) -> tuple[int, ...]:
+            return tuple(map(b"".join(rows.values()).count, residues))
+
+    else:
+        code = _TYPECODES[width]
+        bits = 8 * width
+
+        def fields(row: int):
+            raw = array(code, row.to_bytes(-(-row.bit_length() // bits) * width, _ORDER))
+            return array(code, [c % p for c in raw])
+
+        def tally(rows: dict) -> tuple[int, ...]:
+            counts = Counter(array(code, b"".join(rows.values())))
+            return tuple(map(counts.__getitem__, residues))
+
+    def reduce(rows: dict) -> tuple[dict, int]:
+        out = {}
+        terms = 0
+        for key, row in rows.items():
+            f = fields(row)
+            nonzero = len(f) - f.count(0)
+            if nonzero:
+                out[key] = f
+                terms += nonzero
+        return out, terms
+
+    return reduce, tally
+
+
+def _multiply(rows: dict, base: list, reduce: Callable) -> tuple[dict, int]:
+    """One step of a chain: every row times every cluster of P, then reduced mod p.
+
+    A cluster (key offset, shift, multiplier) of P's terms (_clusters) adds
+    its key offset to the row's key and its shift, in bits, to the row's
+    fields, and multiplies the row by the cluster's packed coefficients.
+    """
     out: dict = {}
     get = out.get
-    for eb, cb in b.items():
-        for ea, ca in a.items():
-            e = ea + eb
-            out[e] = get(e, 0) + ca * cb
-    return {e: c for e, c in ((e, c % p) for e, c in out.items()) if c}
+    for key, f in rows.items():
+        row = int.from_bytes(f, _ORDER)
+        for offset, shift, c in base:
+            k = key + offset
+            out[k] = get(k, 0) + (row * c << shift)
+    return reduce(out)
 
 
-def _spans(poly: ModPoly) -> list[int]:
-    """Per variable, the highest minus the lowest exponent in poly's terms."""
-    return [max(col) - min(col) for col in zip(*poly.terms)] or [0] * len(poly.vars)
+def _clusters(terms: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """Merge (key offset, shift, coefficient) terms of P into (key offset, shift, multiplier).
+
+    Terms with one key offset whose shifts lie at most _CLUSTER_GAP bits
+    apart share one multiplier, so a row meets them in one multiplication;
+    terms further apart keep their own, so a lacunary P multiplies no long
+    run of zero fields.
+    """
+    out = []
+    for offset, shift, c in sorted(terms):
+        if out and out[-1][0] == offset and shift - last <= _CLUSTER_GAP:
+            first, multiplier = out[-1][1:]
+            out[-1] = (offset, first, multiplier + (c << shift - first))
+        else:
+            out.append((offset, shift, c))
+        last = shift
+    return out
 
 
-def _pack(poly: ModPoly, weights: list[int]) -> dict:
-    """poly's terms keyed by the packed int sum(e[i] * weights[i]) of each exponent vector e."""
-    return {sum(x * w for x, w in zip(e, weights)): c for e, c in poly.terms.items()}
+def _expand(poly: ModPoly, count: int) -> Callable[..., Iterator]:
+    """A function chain(seed, histogram=False) over n = 0 .. count-1 of seed * poly^n.
 
-
-def _expand(poly: ModPoly, seeds: Iterable[ModPoly], count: int) -> Iterator[Iterator[dict]]:
-    """For each seed in turn, the term dicts of seed * poly^n for n = 0 .. count-1.
-
-    Exponent vectors are packed into single ints, mixed-radix with one digit
-    per variable.  Packing is linear, so keys add as exponents do, and each
-    digit is wider than that variable's exponent span anywhere in the chain,
-    so no two monomials of one product share a key, negative exponents
-    included.  Each seed's chain is multiplied out once, and every chain
-    draws on the same WORK_BUDGET of term products; spending past it raises
+    chain yields each product's coefficient sum, or with histogram its
+    residue histogram.  Exponent vectors are read in the coordinates of
+    _axes, and a product is a dict of rows.  The packed coordinate v is the
+    one in which poly spans the widest range, walked in steps of the gcd g
+    of poly's differences in v; a row holds the coefficients along v as
+    fixed-width fields of one int, each field wide enough for the
+    unreduced sum (p - 1) * coeff_sum(poly) of one step.  A row's key packs
+    the other coordinates mixed-radix, one digit per coordinate, wider
+    than its span anywhere in the chain, times g, plus the seed term's
+    coordinate v mod g (counted from the seed's lowest), which no step
+    changes.  Packing is linear, so keys add as coordinates do and no two
+    rows of one product share a key, negative coordinates included.  Every
+    chain draws on the same WORK_BUDGET of term products, nonzero terms of
+    the current product times len(poly) per step; spending past it raises
     LimitError.
     """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     p = poly.p
-    poly_spans = _spans(poly)
+    axes = _axes(poly)
+    nvars = len(poly.vars)
+
+    def coordinates(q: ModPoly) -> dict:
+        return {tuple(sum(map(mul, row, e)) for row in axes): c for e, c in q.terms.items()}
+
+    poly_terms = coordinates(poly)
+    spans = _spans(poly_terms, nvars)
+    v = spans.index(max(spans)) if spans else 0
+    poly_cols = _columns(poly_terms, v)
+    low = min((x for _, x, _ in poly_cols), default=0)
+    stride = gcd(*(x - low for _, x, _ in poly_cols)) or 1
+    poly_spans = spans[:v] + spans[v + 1 :]
+    width = next(w for w in _TYPECODES if (p - 1) * sum(poly.terms.values()) < 256**w)
+    bits = 8 * width
+    reduce, tally = _field_ops(p, width)
     left = WORK_BUDGET
 
-    def chain(seed: ModPoly) -> Iterator[dict]:
+    def chain(seed: ModPoly, histogram: bool = False) -> Iterator:
         nonlocal left
         if seed.p != p or seed.vars != poly.vars:
             raise ValueError("seed and polynomial must share modulus and variables")
-        weights, weight = [], 1
-        for seed_span, poly_span in zip(_spans(seed), poly_spans):
+        seed_terms = coordinates(seed)
+        seed_spans = _spans(seed_terms, nvars)
+        weights, weight = [], stride
+        for seed_span, poly_span in zip(seed_spans[:v] + seed_spans[v + 1 :], poly_spans):
             weights.append(weight)
             weight *= seed_span + max(count - 1, 0) * poly_span + 1
-        base = _pack(poly, weights)
-        current = _pack(seed, weights)
+
+        def key(rest: tuple[int, ...]) -> int:
+            return sum(map(mul, rest, weights))
+
+        base = _clusters(((key(rest), (x - low) // stride * bits, c) for rest, x, c in poly_cols))
+        seed_cols = _columns(seed_terms, v)
+        seed_low = min((x for _, x, _ in seed_cols), default=0)
+        rows: dict = {}
+        for rest, x, c in seed_cols:
+            k = key(rest) + (x - seed_low) % stride
+            rows[k] = rows.get(k, 0) + (c << (x - seed_low) // stride * bits)
+        rows, terms = reduce(rows)
         for n in range(count):
             if n:
-                left -= len(current) * len(base)
+                left -= terms * len(poly.terms)
                 if left < 0:
                     raise LimitError(f"brute force exceeded {WORK_BUDGET} term products")
-                current = _mul_mod(current, base, p)
-            yield current
+                rows, terms = _multiply(rows, base, reduce)
+            if histogram:
+                yield tally(rows)
+            else:
+                yield terms if p == 2 else sum(map(sum, rows.values()))
 
-    return map(chain, seeds)
-
-
-def _histogram(terms: dict, p: int) -> tuple[int, ...]:
-    counts = [0] * (p - 1)
-    for c in terms.values():
-        counts[c - 1] += 1
-    return tuple(counts)
+    return chain
 
 
 def brute_values(poly: ModPoly, seed: ModPoly, count: int) -> list[int]:
     """Coefficient sums of seed * poly^n mod p for n = 0 .. count-1, by direct expansion."""
-    (chain,) = _expand(poly, [seed], count)
-    return [sum(t.values()) for t in chain]
+    return list(_expand(poly, count)(seed))
 
 
 def brute_histograms(poly: ModPoly, seed: ModPoly, count: int) -> list[tuple[int, ...]]:
     """Residue histograms of seed * poly^n mod p for n = 0 .. count-1, by direct expansion."""
-    (chain,) = _expand(poly, [seed], count)
-    return [_histogram(t, poly.p) for t in chain]
+    return list(_expand(poly, count)(seed, histogram=True))
 
 
 def eval_at_memo(scheme: Scheme, n: int) -> int:
@@ -245,8 +409,9 @@ def verify_scheme(
     force, the recurrence identity and the fixed point read the scheme's
     own transitions, so the checks also test the lumping.  Raises
     ValueError for n_max < 1, for a negative rlt_limit and for an
-    rlt_limit when p != 2, and LimitError past WORK_BUDGET or
-    terms_prefix's state-value cap.
+    rlt_limit when p != 2, LimitError before any expansion when n_max
+    passes terms_prefix's state-value cap, and LimitError past
+    WORK_BUDGET.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -255,10 +420,12 @@ def verify_scheme(
         raise ValueError(f"the run-length check (rlt_limit) needs p = 2, got p = {p}")
     if rlt_limit is not None and rlt_limit < 0:
         raise ValueError(f"rlt_limit must be nonnegative, got {rlt_limit}")
+    _check_count(scheme.lumped, n_max)
 
-    chains = _expand(scheme.poly, scheme.states, n_max)
-    first, hist_table = zip(*((sum(t.values()), _histogram(t, p)) for t in next(chains)))
-    tables = [first] + [[sum(t.values()) for t in chain] for chain in chains]
+    chain = _expand(scheme.poly, n_max)
+    hist_table = list(chain(scheme.states[0], histogram=True))
+    first = [sum(i * c for i, c in enumerate(h, 1)) for h in hist_table]
+    tables = [first] + [list(chain(q)) for q in scheme.states[1:]]
     fast = terms_prefix(scheme, n_max)
     # n_max is bounded by WORK_BUDGET and terms_prefix's count x m' cap, so the
     # residue columns take no further charge (histogram_prefix's x (p - 1) would

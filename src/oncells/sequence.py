@@ -57,15 +57,19 @@ def _step(scheme: Scheme, digit: int, vec: Sequence[int]) -> list[int]:
     return [0] + [sum(map(get, row[digit])) for row in scheme.transitions]
 
 
-def _check_count(lumped: Scheme, count: int) -> int:
-    """What count vectors of lumped leave of MAX_STATE_VALUES; LimitError if they exceed it."""
-    left = MAX_STATE_VALUES - count * lumped.state_count
-    if left < 0:
+def _check_count(lumped: Scheme, count: int, columns: int = 1) -> int:
+    """What count vectors of lumped on columns base columns leave of MAX_STATE_VALUES.
+
+    Raises ValueError for a negative count and LimitError past the cap.
+    """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    needed = count * columns * lumped.state_count
+    if needed > MAX_STATE_VALUES:
         raise LimitError(
-            f"request needs {count * lumped.state_count} state values, "
-            f"more than the {MAX_STATE_VALUES} allowed"
+            f"request needs {needed} state values, more than the {MAX_STATE_VALUES} allowed"
         )
-    return left
+    return MAX_STATE_VALUES - needed
 
 
 def _walk(scheme: Scheme, n: int, col: Sequence[int]) -> int:
@@ -105,7 +109,8 @@ def eval_histogram_at(scheme: Scheme, n: int) -> tuple[int, ...]:
 def terms_prefix(scheme: Scheme, count: int) -> list[int]:
     """Sequence values at n < count, one digit step each.
 
-    Raises LimitError, before any step, when count x m' passes MAX_STATE_VALUES.
+    Raises ValueError for count < 0, and LimitError, before any step, when
+    count x m' passes MAX_STATE_VALUES.
     """
     lumped = scheme.lumped
     _check_count(lumped, count)
@@ -115,22 +120,21 @@ def terms_prefix(scheme: Scheme, count: int) -> list[int]:
 def histogram_prefix(scheme: Scheme, count: int) -> list[tuple[int, ...]]:
     """Residue histograms at n < count: the prefix of terms_prefix on each residue column.
 
-    Raises LimitError, before any step, when count x m' x (p - 1) passes
-    MAX_STATE_VALUES.
+    Raises ValueError for count < 0, and LimitError, before any step, when
+    count x m' x (p - 1) passes MAX_STATE_VALUES.
     """
     lumped = scheme.lumped
-    _check_count(lumped, count * (scheme.p - 1))
+    _check_count(lumped, count, scheme.p - 1)
     return list(zip(*(_prefix(lumped, count, col) for col in zip(*lumped.base_histogram))))
 
 
 def sparse_terms(scheme: Scheme, count: int) -> list[int]:
     """Values at n = p^k - 1 for k = 0..count: repeated top-digit steps.
 
-    Raises LimitError, before any step, when count x m' passes
-    MAX_STATE_VALUES, and as soon as the terms' size does.
+    Raises ValueError for count < 0, LimitError, before any step, when
+    count x m' passes MAX_STATE_VALUES, and LimitError as soon as the
+    terms' size does.
     """
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
     lumped = scheme.lumped
     left = _check_count(lumped, count)
     top = scheme.p - 1

@@ -234,6 +234,20 @@ def test_check_takes_no_histogram_charge(tmp_path, capsys):
     assert "result: OK" in capsys.readouterr().out
 
 
+def test_check_refuses_the_value_cap_before_brute_force(capsys):
+    # 600000 values x m' = 2 classes pass MAX_STATE_VALUES; brute force would
+    # spend seconds on its term products before reaching its own limit
+    scheme = str(SCHEMES_DIR / "p2-univariate-quadratic.json")
+    start = time.perf_counter()
+    assert main(["check", "--scheme", scheme, "--nmax", "600000"]) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: request needs 1200000 state values, more than the 1000000 allowed\n"
+    )
+
+
 def test_check_fails_on_bad_scheme(tmp_path, capsys):
     path = tmp_path / "toy.json"
     synth_toy(path)

@@ -1,3 +1,7 @@
+import time
+from collections import Counter
+from operator import mul
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,7 +23,7 @@ from oncells import (
     synthesize,
     verify_scheme,
 )
-from strategies import random_polys
+from strategies import random_polys, seeds, symmetric_products
 
 X = ("x",)
 
@@ -70,6 +74,116 @@ def test_brute_histogram_weighted_sum():
         assert sum((i + 1) * hist[i] for i in range(2)) == values[n]
 
 
+def _reference_expand(poly, seed, count):
+    """(term dict of seed * poly^n mod p, term products spent on it) for n = 0 .. count-1.
+
+    A plain dict convolution over exponent vectors packed mixed-radix into
+    single ints: one product per pair of terms, len(current) * len(poly)
+    of them per step, the count WORK_BUDGET charges.
+    """
+    seed_spans, poly_spans = (
+        [max(col) - min(col) for col in zip(*q.terms)] or [0] * len(q.vars) for q in (seed, poly)
+    )
+    weights, weight = [], 1
+    for seed_span, poly_span in zip(seed_spans, poly_spans):
+        weights.append(weight)
+        weight *= seed_span + max(count - 1, 0) * poly_span + 1
+
+    def pack(q):
+        return {sum(x * w for x, w in zip(e, weights)): c for e, c in q.terms.items()}
+
+    base, current, spent = pack(poly), pack(seed), 0
+    for n in range(count):
+        if n:
+            spent = len(current) * len(base)
+            out = {}
+            for eb, cb in base.items():
+                for ea, ca in current.items():
+                    out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+            current = {e: c % poly.p for e, c in out.items() if c % poly.p}
+        yield current, spent
+
+
+def _assert_matches_reference(poly, seed, count):
+    """Values, histograms and every LimitError edge of brute force equal the reference's."""
+    steps = list(_reference_expand(poly, seed, count))
+    residues = range(1, poly.p)
+    assert brute_values(poly, seed, count) == [sum(t.values()) for t, _ in steps]
+    histograms = [tuple(map(Counter(t.values()).__getitem__, residues)) for t, _ in steps]
+    assert brute_histograms(poly, seed, count) == histograms
+    # the first k values fit a budget of exactly the reference's products for them, not one less
+    cost = 0
+    with pytest.MonkeyPatch.context() as patch:
+        for k, (_, spent) in enumerate(steps[1:], 2):
+            cost += spent
+            patch.setattr(oracle, "WORK_BUDGET", cost)
+            assert len(brute_values(poly, seed, k)) == k
+            patch.setattr(oracle, "WORK_BUDGET", cost - 1)
+            with pytest.raises(LimitError):
+                brute_values(poly, seed, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(random_polys(max_vars=3), symmetric_products()), st.data())
+def test_brute_force_matches_reference(poly, data):
+    seed = data.draw(st.one_of(st.just(ModPoly.one(poly.p, poly.vars)), seeds(poly)))
+    _assert_matches_reference(poly, seed, data.draw(st.integers(0, 10)))
+
+
+@pytest.mark.parametrize(
+    "poly, seed, vars, p, count",
+    [
+        ("1+x", "1+2*x^3", X, 97, 40),  # 1-byte fields: 96 x 2 < 256
+        ("3+x+5*y^2", "1+x*y", ("x", "y"), 97, 16),  # 2-byte fields
+        ("1+x+x^2", "1", X, 65521, 20),  # 4-byte fields
+        ("65520+65520*x+65520*y", "x^-1+y", ("x", "y"), 65521, 12),  # 8-byte fields
+        # lacunary: x is packed in steps of 1000, and the seed's terms fall in three rows
+        ("1+x^1000", "1+x+x^7", X, 2, 40),
+        ("1+x^1000", "2+x^-3+x^2003", X, 3, 30),
+        # x^-6 times 1 + x^6*y^9, and x^-6 times 1 + x^6*y^9 + x^6*y^18: the
+        # differences are independent, so they are the packed axes
+        ("x^-6+y^9", "1+y+x*y^2", ("x", "y"), 5, 20),
+        ("x^-6+y^9+y^18", "y^-1+x*y^4", ("x", "y"), 2, 20),
+        ("x^3*y^-1*z^2+x^4*z^3+y*z", "1+x+y*z^2", ("x", "y", "z"), 3, 20),
+        # dependent differences: x spans widest and is packed in steps of 6,
+        # and the seed's terms fall in three rows
+        ("1+x^6+x^12+y^9", "1+x+x^2*y", ("x", "y"), 3, 16),
+        # constants and a seed of many rows
+        ("1", "1+x+y", ("x", "y"), 3, 5),
+        ("x*y", "1+x^2+y^5", ("x", "y"), 2, 5),
+    ],
+)
+def test_brute_force_matches_reference_by_hand(poly, seed, vars, p, count):
+    _assert_matches_reference(parse_poly(poly, vars, p), parse_poly(seed, vars, p), count)
+
+
+def test_lacunary_power_costs_what_a_dense_one_does():
+    # (1+x^1000)^n mod 2 has 2^popcount(n) terms (Lucas); packing x in steps
+    # of 1000 keeps each row as narrow as for 1+x
+    start = time.perf_counter()
+    values = brute_values(parse_poly("1+x^1000", X, 2), ModPoly.one(2, X), 4096)
+    assert time.perf_counter() - start < 1
+    assert values == [2 ** bin(n).count("1") for n in range(4096)]
+
+
+def test_independent_differences_become_the_axes():
+    # x^3*y^-1*z^2 + x^4*z^3 + y*z is y*z times 1 + X + Y for X = x^3*y^-2*z,
+    # Y = x^4*y^-1*z^2: the axes take X and Y to multiples of unit vectors
+    poly = parse_poly("x^3*y^-1*z^2+x^4*z^3+y*z", ("x", "y", "z"), 2)
+    axes = oracle._axes(poly)
+    images = [tuple(sum(map(mul, row, d)) for row in axes) for d in [(3, -2, 1), (4, -1, 2)]]
+    assert sorted(images, reverse=True) == [(3, 0, 0), (0, 3, 0)]
+    # 1 + x + x^2 has dependent differences: the axes stay the variables
+    assert oracle._axes(parse_poly("1+x+x^2", X, 2)) == [(1,)]
+
+
+@pytest.mark.parametrize("route", [brute_values, brute_histograms])
+def test_negative_counts_are_refused(route):
+    p2 = parse_poly("1+x+x^2", X, 2)
+    with pytest.raises(ValueError, match="count must be nonnegative, got -1"):
+        route(p2, ModPoly.one(2, X), -1)
+
+
 def test_term_limit_guard(monkeypatch):
     # 1+x+x^2 mod 2: the steps to n = 1 and n = 2 cost 1*3 and 3*3 term products,
     # so 3 fit under a budget of 10 and 12 do not
@@ -82,18 +196,27 @@ def test_term_limit_guard(monkeypatch):
         brute_histograms(p2, ModPoly.one(2, X), 100)
 
 
+def _nonzero(rows):
+    """Nonzero coefficients in the packed rows a chain step reads."""
+    return sum(len(f) - f.count(0) for f in rows.values())
+
+
 def test_budget_covers_the_whole_verification(toy, monkeypatch):
     # each state's chain fits in the budget on its own, all of them together do not
     products = []
-    real = oracle._mul_mod
-    monkeypatch.setattr(
-        oracle, "_mul_mod", lambda a, b, p: products.append(len(a) * len(b)) or real(a, b, p)
-    )
+    real = oracle._multiply
+
+    def counting(rows, base, reduce):
+        products.append(_nonzero(rows) * len(toy.poly.terms))
+        return real(rows, base, reduce)
+
+    monkeypatch.setattr(oracle, "_multiply", counting)
     costs = []
     for q in toy.states:
         products.clear()
         brute_values(toy.poly, q, 16)
         costs.append(sum(products))
+    assert costs == [sum(s for _, s in _reference_expand(toy.poly, q, 16)) for q in toy.states]
     monkeypatch.setattr(oracle, "WORK_BUDGET", max(costs))
     for q in toy.states:
         brute_values(toy.poly, q, 16)
@@ -103,13 +226,32 @@ def test_budget_covers_the_whole_verification(toy, monkeypatch):
 
 def test_verify_scheme_expands_each_state_once(corpus, monkeypatch):
     calls = []
-    real = oracle._mul_mod
-    monkeypatch.setattr(oracle, "_mul_mod", lambda *args: calls.append(1) or real(*args))
+    real = oracle._multiply
+    monkeypatch.setattr(oracle, "_multiply", lambda *args: calls.append(1) or real(*args))
     for _, _, _, s in corpus:
         calls.clear()
         assert verify_scheme(s, 16).ok
         # one chain of 16 terms, so 15 products, per state
         assert len(calls) == s.state_count * 15
+
+
+def test_verify_scheme_budget_edge_matches_reference(corpus, monkeypatch):
+    # the whole verification fits a budget of exactly the reference's term
+    # products over every state's chain, and not one less
+    for _, _, _, s in corpus:
+        cost = sum(spent for q in s.states for _, spent in _reference_expand(s.poly, q, 16))
+        monkeypatch.setattr(oracle, "WORK_BUDGET", cost)
+        assert verify_scheme(s, 16).ok
+        monkeypatch.setattr(oracle, "WORK_BUDGET", cost - 1)
+        with pytest.raises(LimitError):
+            verify_scheme(s, 16)
+
+
+def test_verify_scheme_checks_the_value_cap_before_expanding(toy, monkeypatch):
+    # 600000 values x m' = 2 classes pass MAX_STATE_VALUES: refused before any brute force
+    monkeypatch.setattr(oracle, "_expand", lambda *args: pytest.fail("expanded"))
+    with pytest.raises(LimitError, match="request needs 1200000 state values"):
+        verify_scheme(toy, 600000)
 
 
 def test_verify_scheme_rejects_empty_ranges(toy):

@@ -72,6 +72,12 @@ def test_sparse_terms(toy, base3):
         sparse_terms(toy, -1)
 
 
+@pytest.mark.parametrize("route", [terms_prefix, histogram_prefix, sparse_terms])
+def test_negative_counts_are_refused(toy, route):
+    with pytest.raises(ValueError, match="count must be nonnegative, got -1"):
+        route(toy, -1)
+
+
 def test_sparse_terms_match_eval(corpus):
     for _, p, _, s in corpus:
         values = sparse_terms(s, 12)
