@@ -34,7 +34,14 @@ from operator import mul, sub
 from .genfun import RationalGF, gf_series
 from .poly import ModPoly
 from .scheme import LimitError, Scheme
-from .sequence import _check_count, _prefix, eval_at, sparse_terms, terms_prefix
+from .sequence import (
+    _check_count,
+    _packed_histograms,
+    _prefix,
+    eval_at,
+    sparse_terms,
+    terms_prefix,
+)
 
 # Term products that one call of brute_values, brute_histograms or
 # verify_scheme may spend on all its chains, charged per step as the nonzero
@@ -404,8 +411,9 @@ def verify_scheme(
     Each check's counterexample is its first mismatch, in the order listed
     (_first_failure).  Each state's chain is expanded once, under one
     WORK_BUDGET.  The fast side of the first two checks is one prefix per
-    base column (terms_prefix, then sequence._prefix on each residue
-    column), and like every fast route it steps scheme.lumped.  Brute
+    base column (terms_prefix, then one sequence._prefix over all p - 1
+    residue columns packed into one int by sequence._packed_histograms),
+    and like every fast route it steps scheme.lumped.  Brute
     force, the recurrence identity and the fixed point read the scheme's
     own transitions, so the checks also test the lumping.  Raises
     ValueError for n_max < 1, for a negative rlt_limit and for an
@@ -431,7 +439,8 @@ def verify_scheme(
     # residue columns take no further charge (histogram_prefix's x (p - 1) would
     # refuse checks whose brute force fits the budget)
     lumped = scheme.lumped
-    fast_h = list(zip(*(_prefix(lumped, n_max, col) for col in zip(*lumped.base_histogram))))
+    col, unpack = _packed_histograms(lumped, n_max - 1)
+    fast_h = list(map(unpack, _prefix(lumped, n_max, col)))
     base = list(scheme.base_scalar)
     sparse = sparse_terms(scheme, 2 * scheme.state_count + _SPARSE_COUNT)
 

@@ -14,6 +14,7 @@ Values are immutable after construction; all operations return new objects.
 from __future__ import annotations
 
 from math import isqrt
+from operator import add
 
 
 class ParseError(ValueError):
@@ -106,12 +107,7 @@ class ModPoly:
         if isinstance(other, int):
             return ModPoly(self.p, self.vars, {e: c * other for e, c in self.terms.items()})
         self._check_compatible(other)
-        out: dict[tuple[int, ...], int] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, 0) + ca * cb
-        return ModPoly(self.p, self.vars, out)
+        return ModPoly(self.p, self.vars, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -181,6 +177,16 @@ class ModPoly:
         return "+".join(parts)
 
 
+def _product(a: dict, b: dict) -> dict[tuple[int, ...], int]:
+    """The unreduced product of two {exponents: coeff} term dicts."""
+    out: dict[tuple[int, ...], int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
 class _Parser:
     """Recursive-descent parser for the polynomial expression grammar.
 
@@ -231,33 +237,33 @@ class _Parser:
         return name
 
     def parse(self) -> ModPoly:
-        result = self._expr()
+        terms = self._expr()
         self._skip_ws()
         if self.pos != len(self.text):
             raise ParseError("unexpected trailing input", self.pos)
-        return result
+        return ModPoly(self.p, self.vars, terms)
 
-    def _expr(self) -> ModPoly:
-        """A lone term as parsed; a sum accumulated in one dict and built once."""
+    # _expr, _term and _factor return {exponents: coeff} dicts; parse builds
+    # the one ModPoly, whose construction reduces the sums mod p.
+
+    def _expr(self) -> dict[tuple[int, ...], int]:
         result = self._term()
-        sums = None
         while (op := self._peek()) in ("+", "-"):
             self.pos += 1
-            if sums is None:
-                sums = dict(result.terms)
             sign = 1 if op == "+" else -1
-            for exps, c in self._term().terms.items():
-                sums[exps] = sums.get(exps, 0) + sign * c
-        return result if sums is None else ModPoly(self.p, self.vars, sums)
+            for exps, c in self._term().items():
+                result[exps] = result.get(exps, 0) + sign * c
+        return result
 
-    def _term(self) -> ModPoly:
+    def _term(self) -> dict[tuple[int, ...], int]:
         result = self._factor()
         while self._peek() == "*":
             self.pos += 1
-            result = result * self._factor()
+            product = _product(result, self._factor())
+            result = {e: c % self.p for e, c in product.items() if c % self.p}
         return result
 
-    def _factor(self) -> ModPoly:
+    def _factor(self) -> dict[tuple[int, ...], int]:
         ch = self._peek()
         if ch == "(":
             self.pos += 1
@@ -265,7 +271,7 @@ class _Parser:
             self._expect(")")
             return inner
         if ch.isdigit():
-            return ModPoly.constant(self.p, self.vars, self._integer())
+            return {(0,) * len(self.vars): self._integer()}
         if ch.isalpha() or ch == "_":
             name = self._identifier()
             exp = 1
@@ -277,8 +283,7 @@ class _Parser:
                 exp = self._integer()
                 if neg:
                     exp = -exp
-            exps = tuple(exp if v == name else 0 for v in self.vars)
-            return ModPoly(self.p, self.vars, {exps: 1})
+            return {tuple(exp if v == name else 0 for v in self.vars): 1}
         raise ParseError("expected an integer, variable, or '('", self.pos)
 
 

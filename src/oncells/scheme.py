@@ -11,7 +11,10 @@ States are found by splitting Q_j * P^i into exponent-residue classes mod p
 (dividing exponents by p), canonicalizing each nonzero class, and numbering
 new polynomials in first-discovery order: digits ascending, residue classes
 in lexicographic order.  Termination follows from the per-variable degree
-bound max(deg Q_1, deg P), which closure preserves.
+bound max(deg Q_1, deg P), which closure preserves.  The same bound D sizes
+the closure's arithmetic: no exponent of Q_j * P^i passes p * D, so each
+exponent vector packs into one int with a fixed-width field per variable,
+a term product is one int add, and packed ints sort as the vectors do.
 
 Distinct states can still have equal values at every n.  Scheme.lumped
 merges them: two states with equal base values whose digit-i multisets map
@@ -27,7 +30,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from functools import cached_property
-from operator import add, floordiv, mod, sub
+from operator import floordiv, lshift, mod
 
 from .poly import ModPoly, ensure_prime, parse_poly
 
@@ -127,10 +130,16 @@ def synthesize(
     first (legal because the functionals ignore monomial factors).  The
     worklist closure is sequential and byte-deterministic: states are
     numbered in first-discovery order with digits ascending and residue
-    classes in lexicographic order.  It works on sorted (exponents, coeff)
-    term tuples, each product split and canonicalized in one pass, and
-    builds one ModPoly per state once it ends.  Raises LimitError if more
-    than max_states states appear, ValueError if max_states is below 1.
+    classes in lexicographic order.  Each state is a sorted tuple of
+    (packed exponents, coeff) terms: an exponent vector is one int with a
+    field of (p * D).bit_length() bits per variable, D the largest of
+    degree_bounds, and variable 0 in the most significant field, so int
+    order is lexicographic order.  A term product is one int add; each
+    distinct product exponent is split into packed residues and quotient
+    once per call; canonicalizing subtracts the packed per-variable
+    minimum.  One ModPoly per state is unpacked once the closure ends.
+    Raises LimitError if more than max_states states appear, ValueError if
+    max_states is below 1.
     """
     if max_states < 1:
         raise ValueError(f"max_states must be at least 1, got {max_states}")
@@ -144,40 +153,55 @@ def synthesize(
         raise ValueError("seed and polynomial must share modulus and variables")
 
     p, vars = poly.p, poly.vars
-    poly = poly.canonical()
+    poly, q0 = poly.canonical(), q0.canonical()
+    # no exponent of a state times P^i passes p * D
+    width = (p * max(degree_bounds(poly, q0), default=0)).bit_length()
+    shifts = [width * v for v in reversed(range(len(vars)))]
+    mask = (1 << width) - 1
+    ps = (p,) * len(vars)
+
+    def pack(exps) -> int:
+        return sum(map(lshift, exps, shifts))
+
     powers = [ModPoly.one(p, vars)]
     for _ in range(1, p):
         powers.append(powers[-1] * poly)
-    powers = [q._key for q in powers]
-    ps, zero = (p,) * len(vars), (0,) * len(vars)
+    powers = [[(pack(e), c) for e, c in q._key] for q in powers]
 
-    states = [q0.canonical()._key]  # the ModPoly._key of each canonical state
+    # packed product exponent -> (packed residues, packed quotient, quotient
+    # tuple); the tuple gives the per-variable minimum of a class
+    splits: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+    states = [tuple((pack(e), c) for e, c in q0._key)]  # each state's sorted packed terms
     index = {states[0]: 1}
     transitions: list[tuple[tuple[int, ...], ...]] = []
     for state in states:
         row = []
         for power in powers:
-            product: dict[tuple[int, ...], int] = {}
+            product: dict[int, int] = {}
+            get = product.get
             for ea, ca in state:
                 for eb, cb in power:
-                    e = tuple(map(add, ea, eb))
-                    product[e] = product.get(e, 0) + ca * cb
-            classes: dict[tuple[int, ...], list] = {}
+                    e = ea + eb
+                    product[e] = get(e, 0) + ca * cb
+            classes: dict[int, list] = {}
             for e, c in product.items():
                 c %= p
                 if c:
-                    quotient = (tuple(map(floordiv, e, ps)), c)
-                    classes.setdefault(tuple(map(mod, e, ps)), []).append(quotient)
+                    split = splits.get(e)
+                    if split is None:
+                        exps = [e >> s & mask for s in shifts]
+                        quotient = tuple(map(floordiv, exps, ps))
+                        split = (pack(map(mod, exps, ps)), pack(quotient), quotient)
+                        splits[e] = split
+                    classes.setdefault(split[0], []).append((split[1], c, split[2]))
             multiset = []
             for alpha in sorted(classes):
                 terms = classes[alpha]
                 if len(terms) == 1:  # map(min, *exps) needs two exponent tuples
-                    key = ((zero, terms[0][1]),)
+                    key = ((0, terms[0][1]),)
                 else:
-                    low = tuple(map(min, *(e for e, _ in terms)))
-                    if low != zero:
-                        terms = [(tuple(map(sub, e, low)), c) for e, c in terms]
-                    key = tuple(sorted(terms))
+                    low = pack(map(min, *(t[2] for t in terms)))
+                    key = tuple(sorted((e - low, c) for e, c, _ in terms))
                 idx = index.get(key)
                 if idx is None:
                     if len(states) >= max_states:
@@ -189,9 +213,9 @@ def synthesize(
             row.append(tuple(sorted(multiset)))
         transitions.append(tuple(row))
 
-    del index  # so that each key is freed as its ModPoly replaces it
+    del index, splits  # so that each key is freed as its ModPoly replaces it
     for j, key in enumerate(states):
-        states[j] = ModPoly(p, vars, dict(key))
+        states[j] = ModPoly(p, vars, {tuple(e >> s & mask for s in shifts): c for e, c in key})
     return _build(poly, tuple(states), tuple(transitions))
 
 
@@ -222,8 +246,34 @@ def scheme_to_dict(scheme: Scheme) -> dict:
 
 
 def scheme_to_json(scheme: Scheme) -> str:
-    """Serialize deterministically; identical schemes give identical bytes."""
-    return json.dumps(scheme_to_dict(scheme), indent=2) + "\n"
+    """Serialize deterministically; identical schemes give identical bytes.
+
+    The bytes are json.dumps(scheme_to_dict(scheme), indent=2) + "\\n", which
+    runs json's pure-Python encoder whenever indent is set; _dump writes them
+    directly.
+    """
+    return _dump(scheme_to_dict(scheme), "\n") + "\n"
+
+
+def _dump(value, indent: str) -> str:
+    """json.dumps(value, indent=2) for the dicts, lists, strs and ints of scheme_to_dict.
+
+    indent is the newline and indentation that close value.  A list that
+    starts with an int is joined as ints, since scheme_to_dict never mixes
+    ints with other items; strings and keys go through json.dumps, so their
+    escaping is json's.
+    """
+    inner = indent + "  "
+    if type(value) is dict and value:
+        items = (json.dumps(k) + ": " + _dump(v, inner) for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if type(value) is list and value:
+        if type(value[0]) is int:
+            items = map(str, value)
+        else:
+            items = [_dump(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value)
 
 
 def scheme_from_dict(data: dict) -> Scheme:

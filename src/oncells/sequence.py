@@ -9,10 +9,11 @@ representation of the recurrence.  Every public route steps scheme.lumped,
 the quotient that merges states equal at every n, so a step reads one
 multiset per class rather than per state.  A state vector carries a 0 in
 slot 0 and state j's value in slot j, so the 1-based multiset entries index
-it directly.  Every route runs these steps on one base column at a time:
-base_scalar for values, and each of the p - 1 columns of base_histogram for
-residue histograms.  A single index walks its digits (_walk); a prefix takes
-one step per index, from the vector at n // p (_prefix).  The sparse
+it directly.  Every route runs these steps on one base column: base_scalar
+for values, and for residue histograms the p - 1 columns of base_histogram
+packed as fields of one int per state (_packed_histograms), so that one
+step sums every column at once.  A single index walks its digits (_walk);
+a prefix takes one step per index, from the vector at n // p (_prefix).  The sparse
 subsequence at n = p^k - 1 is k top-digit steps.  A prefix or sparse
 request whose vectors of scheme.lumped would hold more than MAX_STATE_VALUES
 values raises LimitError.
@@ -20,7 +21,9 @@ values raises LimitError.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from itertools import chain
+from operator import lshift
 
 from .scheme import LimitError, Scheme
 
@@ -94,6 +97,29 @@ def _prefix(scheme: Scheme, count: int, col: Sequence[int]) -> list[int]:
     return [v[1] for v in vecs]
 
 
+def _packed_histograms(lumped: Scheme, top: int) -> tuple[list[int], Callable]:
+    """(base column, unpack) that run all p - 1 residue columns of lumped as one.
+
+    Each state's residue counts become fields of one int, so one _walk or
+    _prefix over that column steps every column at once; unpack turns a
+    value back into its p - 1 counts.  A value at n <= top is at most the
+    largest base count times the largest multiset size to the power of the
+    digit count of top, and each field is that bound's bit length wide, so
+    sums never carry from one field into the next.
+    """
+    largest = max(1, max(map(len, chain.from_iterable(lumped.transitions))))
+    bound = max(map(max, lumped.base_histogram)) * largest ** len(_digits(top, lumped.p))
+    width = bound.bit_length()
+    shifts = range(0, (lumped.p - 1) * width, width)
+    mask = (1 << width) - 1
+    col = [sum(map(lshift, h, shifts)) for h in lumped.base_histogram]
+
+    def unpack(value: int) -> tuple[int, ...]:
+        return tuple(value >> s & mask for s in shifts)
+
+    return col, unpack
+
+
 def eval_at(scheme: Scheme, n: int) -> int:
     """Value of the sequence at n, in ceil(log_p n) digit steps."""
     lumped = scheme.lumped
@@ -101,9 +127,10 @@ def eval_at(scheme: Scheme, n: int) -> int:
 
 
 def eval_histogram_at(scheme: Scheme, n: int) -> tuple[int, ...]:
-    """Residue histogram at n: the digit steps of eval_at run on each residue column."""
+    """Residue histogram at n: the digit steps of eval_at on the packed residue columns."""
     lumped = scheme.lumped
-    return tuple(_walk(lumped, n, col) for col in zip(*lumped.base_histogram))
+    col, unpack = _packed_histograms(lumped, n)
+    return unpack(_walk(lumped, n, col))
 
 
 def terms_prefix(scheme: Scheme, count: int) -> list[int]:
@@ -118,14 +145,15 @@ def terms_prefix(scheme: Scheme, count: int) -> list[int]:
 
 
 def histogram_prefix(scheme: Scheme, count: int) -> list[tuple[int, ...]]:
-    """Residue histograms at n < count: the prefix of terms_prefix on each residue column.
+    """Residue histograms at n < count: terms_prefix's prefix on the packed residue columns.
 
     Raises ValueError for count < 0, and LimitError, before any step, when
     count x m' x (p - 1) passes MAX_STATE_VALUES.
     """
     lumped = scheme.lumped
     _check_count(lumped, count, scheme.p - 1)
-    return list(zip(*(_prefix(lumped, count, col) for col in zip(*lumped.base_histogram))))
+    col, unpack = _packed_histograms(lumped, max(count - 1, 0))
+    return list(map(unpack, _prefix(lumped, count, col)))
 
 
 def sparse_terms(scheme: Scheme, count: int) -> list[int]:

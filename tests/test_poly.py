@@ -76,8 +76,12 @@ def test_parse_builds_one_polynomial_per_sum(monkeypatch):
 
     monkeypatch.setattr(ModPoly, "__init__", counting_init)
     a = parse_poly("1+x+x^2+x^3+x^4", X, 2)
-    assert len(calls) == 6  # five factors and one sum
+    assert len(calls) == 1  # factors, products and sums are dicts until the end
     assert a.terms == {(e,): 1 for e in range(5)}
+    calls.clear()
+    b = parse_poly("x*y^2*3-(2*x+y)*(x-y)", XY, 5)
+    assert len(calls) == 1
+    assert b.terms == {(1, 2): 3, (2, 0): 3, (1, 1): 1, (0, 2): 1}
 
 
 def test_canonicalize():

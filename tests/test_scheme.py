@@ -232,6 +232,57 @@ def test_synthesize_matches_reference(poly, data):
 
 
 @pytest.mark.parametrize(
+    "poly, q0",
+    [
+        # a constant P and seed: every exponent field is 0 bits wide
+        (parse_poly("2", X, 3), None),
+        (
+            parse_poly("(1+w+w^2)*(1+x+x^2)*(1+y)*(1+z)-w*x*y*z", ("w", "x", "y", "z"), 2),
+            None,
+        ),
+        (parse_poly("1+x", X, 97), None),
+        # a Laurent P whose seed has the higher degree in both variables
+        (parse_poly("x^-2+x+y^-1+y", ("x", "y"), 2), parse_poly("x^5+y^3", ("x", "y"), 2)),
+    ],
+    ids=["constant", "four-variables", "p97", "laurent-high-seed"],
+)
+def test_packed_closure_matches_reference(poly, q0):
+    # the reference finds m states, so it refuses max_states = m - 1 as well
+    reference = _reference_synthesize(poly, q0)
+    m = reference.state_count
+    assert m >= 2
+    assert _synth_json(synthesize, poly, q0, m) == scheme_to_json(reference)
+    assert _synth_json(synthesize, poly, q0, m - 1) is LimitError
+
+
+def test_packed_closure_block_minus_centre_limit():
+    # the 5x5 block minus its centre, mod 2, has 28,933 states
+    block = {(i, j): 1 for i in range(-2, 3) for j in range(-2, 3) if (i, j) != (0, 0)}
+    poly = ModPoly(2, ("x", "y"), block)
+    assert _synth_json(_reference_synthesize, poly, None, 2000) is LimitError
+    assert _synth_json(synthesize, poly, None, 2000) is LimitError
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_polys(max_vars=3), st.data())
+def test_scheme_to_json_is_json_dumps(poly, data):
+    q0 = data.draw(st.none() | seeds(poly))
+    try:
+        s = synthesize(poly, q0, max_states=64)
+    except LimitError:
+        assume(False)
+    assert scheme_to_json(s) == json.dumps(scheme_to_dict(s), indent=2) + "\n"
+
+
+def test_scheme_to_json_escapes_like_json_dumps():
+    s = synthesize(parse_poly("1+\u03be+\u03be^2*y", ("\u03be", "y"), 3))
+    text = scheme_to_json(s)
+    assert text == json.dumps(scheme_to_dict(s), indent=2) + "\n"
+    assert '"\\u03be"' in text
+    assert scheme_from_json(text) == s
+
+
+@pytest.mark.parametrize(
     "text, vars, p, digest",
     [
         ("1+x+x^2", ("x",), 5, "b378e75045c608cb2d4737df28647056bdafbc9205ba93b26026fa17a81851bd"),

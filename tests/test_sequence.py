@@ -53,6 +53,19 @@ def test_histogram_weighted_sum_matches_scalar(corpus):
                 assert hist[0] == eval_at(s, n)
 
 
+@pytest.mark.parametrize("p", [5, 11])
+def test_packed_histogram_matches_one_walk_per_column(p):
+    # counts at 10^100 outgrow a machine word, and each packed field must
+    # hold them without carrying into the next column
+    s = synthesize(parse_poly("1+x+x^2", ("x",), p))
+    lumped = s.lumped
+    n = 10**100
+    columns = tuple(sequence._walk(lumped, n, col) for col in zip(*lumped.base_histogram))
+    assert max(columns).bit_length() > 64
+    assert eval_histogram_at(s, n) == columns
+    assert sum((i + 1) * c for i, c in enumerate(columns)) == eval_at(s, n)
+
+
 def test_terms_prefix(toy, base3):
     assert terms_prefix(toy, 8) == TOY_PREFIX_16[:8]
     assert terms_prefix(toy, 0) == []
@@ -191,7 +204,8 @@ def test_histogram_prefix_cap(base3, monkeypatch):
     # each row is m = 2 state values on each of the p - 1 = 2 residue columns
     monkeypatch.setattr(sequence, "MAX_STATE_VALUES", 400)
     assert histogram_prefix(base3, 100) == brute_histograms(base3.poly, base3.states[0], 100)
-    assert len(calls) == 2 * 99
+    # both residue columns ride in one packed prefix: one step per row
+    assert len(calls) == 99
     calls.clear()
     with pytest.raises(LimitError):
         histogram_prefix(base3, 101)
