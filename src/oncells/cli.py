@@ -9,9 +9,9 @@ brute-force oracle).
 Each command builds its whole output before writing it.  Only gf and check
 import the generating-function and oracle modules, so the other commands
 start without them.  Exit codes: 0 success, 1 verification failure, 2
-invalid input, 3 resource limit (state cap, brute-force work budget, term
-cap, a --budget too small for an integer fraction, or an integer too long
-for str()).
+invalid input, 3 resource limit (state cap, synthesis or brute-force work
+budget, term cap, a --budget too small for an integer fraction, or an
+integer too long for str()).
 """
 
 from __future__ import annotations

@@ -220,7 +220,7 @@ class _Parser:
     def _integer(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
@@ -270,7 +270,7 @@ class _Parser:
             inner = self._expr()
             self._expect(")")
             return inner
-        if ch.isdigit():
+        if ch.isdecimal():
             return {(0,) * len(self.vars): self._integer()}
         if ch.isalpha() or ch == "_":
             name = self._identifier()

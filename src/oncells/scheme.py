@@ -15,6 +15,13 @@ bound max(deg Q_1, deg P), which closure preserves.  The same bound D sizes
 the closure's arithmetic: no exponent of Q_j * P^i passes p * D, so each
 exponent vector packs into one int with a fixed-width field per variable,
 a term product is one int add, and packed ints sort as the vectors do.
+P^i is built when the closure first needs it, and SYNTH_BUDGET caps the
+term products one closure spends, so a state cap or the budget stops an
+oversized closure early.
+
+A scheme file is a cache of synthesize(polynomial, q0): the loader
+re-synthesizes it, so a file is valid exactly when synthesize rebuilds it
+field for field, and the closure is the one definition of a valid scheme.
 
 Distinct states can still have equal values at every n.  Scheme.lumped
 merges them: two states with equal base values whose digit-i multisets map
@@ -30,13 +37,20 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from functools import cached_property
+from itertools import chain
 from operator import floordiv, lshift, mod
 
 from .poly import ModPoly, ensure_prime, parse_poly
 
 
 class LimitError(RuntimeError):
-    """A resource limit (state count, brute-force work budget, output digits) was hit."""
+    """A resource limit (state count, a term-product budget, output digits) was hit."""
+
+
+# term products one synthesize call may spend: len(Q_j) * len(P^i) for each
+# state and digit, plus len(P^(i-1)) * len(P) to build each power.  The 5x5
+# block minus its centre mod 2 (28,933 states) needs 6.0e6, 1+x mod 257 8.6e6.
+SYNTH_BUDGET = 10_000_000
 
 
 class Scheme(namedtuple("Scheme", "p vars poly states transitions base_scalar base_histogram")):
@@ -114,9 +128,7 @@ def degree_bounds(poly: ModPoly, q0: ModPoly) -> tuple[int, ...]:
     Splitting Q*P^i divides exponents by p, so states never exceed this bound:
     deg(class) <= floor((deg Q + (p-1) deg P) / p) <= max(deg Q, deg P).
     """
-    dp = poly.degrees()
-    dq = q0.degrees()
-    return tuple(max(a, b) for a, b in zip(dp, dq))
+    return tuple(map(max, poly.degrees(), q0.degrees()))
 
 
 def synthesize(
@@ -138,7 +150,10 @@ def synthesize(
     distinct product exponent is split into packed residues and quotient
     once per call; canonicalizing subtracts the packed per-variable
     minimum.  One ModPoly per state is unpacked once the closure ends.
-    Raises LimitError if more than max_states states appear, ValueError if
+    P^i is built on the packed terms at the first state that needs it.
+    Raises LimitError if more than max_states states appear or the closure
+    spends more than SYNTH_BUDGET term products (len(Q_j) * len(P^i) per
+    state and digit, len(P^(i-1)) * len(P) per power built), ValueError if
     max_states is below 1.
     """
     if max_states < 1:
@@ -163,10 +178,24 @@ def synthesize(
     def pack(exps) -> int:
         return sum(map(lshift, exps, shifts))
 
-    powers = [ModPoly.one(p, vars)]
-    for _ in range(1, p):
-        powers.append(powers[-1] * poly)
-    powers = [[(pack(e), c) for e, c in q._key] for q in powers]
+    budget, spent = SYNTH_BUDGET, 0
+
+    def multiply(a, b) -> dict[int, int]:
+        """The unreduced product of two packed term lists, charged len(a) * len(b)."""
+        nonlocal spent
+        spent += len(a) * len(b)
+        if spent > budget:
+            raise LimitError(f"synthesis exceeded its budget of {budget} term products")
+        product: dict[int, int] = {}
+        get = product.get
+        for ea, ca in a:
+            for eb, cb in b:
+                e = ea + eb
+                product[e] = get(e, 0) + ca * cb
+        return product
+
+    base = [(pack(e), c) for e, c in poly._key]
+    powers = [[(0, 1)]]  # P^0: the zero exponent vector packs to 0
 
     # packed product exponent -> (packed residues, packed quotient, quotient
     # tuple); the tuple gives the per-variable minimum of a class
@@ -176,15 +205,11 @@ def synthesize(
     transitions: list[tuple[tuple[int, ...], ...]] = []
     for state in states:
         row = []
-        for power in powers:
-            product: dict[int, int] = {}
-            get = product.get
-            for ea, ca in state:
-                for eb, cb in power:
-                    e = ea + eb
-                    product[e] = get(e, 0) + ca * cb
+        for i in range(p):
+            if i == len(powers):  # P^i is built when the closure first needs it
+                powers.append([(e, c % p) for e, c in multiply(powers[-1], base).items() if c % p])
             classes: dict[int, list] = {}
-            for e, c in product.items():
+            for e, c in multiply(state, powers[i]).items():
                 c %= p
                 if c:
                     split = splits.get(e)
@@ -216,17 +241,12 @@ def synthesize(
     del index, splits  # so that each key is freed as its ModPoly replaces it
     for j, key in enumerate(states):
         states[j] = ModPoly(p, vars, {tuple(e >> s & mask for s in shifts): c for e, c in key})
-    return _build(poly, tuple(states), tuple(transitions))
-
-
-def _build(poly: ModPoly, states: tuple[ModPoly, ...], transitions) -> Scheme:
-    """The scheme of canonical poly and states, with the bases computed from the states."""
     return Scheme(
-        p=poly.p,
-        vars=poly.vars,
+        p=p,
+        vars=vars,
         poly=poly,
-        states=states,
-        transitions=transitions,
+        states=tuple(states),
+        transitions=tuple(transitions),
         base_scalar=tuple(s.coeff_sum() for s in states),
         base_histogram=tuple(s.coeff_histogram() for s in states),
     )
@@ -277,51 +297,45 @@ def _dump(value, indent: str) -> str:
 
 
 def scheme_from_dict(data: dict) -> Scheme:
-    """Rebuild a scheme from its fields; accept exactly what scheme_to_dict writes.
+    """Load a scheme by re-synthesizing it; accept exactly what scheme_to_dict writes.
 
-    p, vars, the polynomial and the states are parsed and canonicalized, and
-    each state's p multisets are read and sorted; the bases are recomputed
-    from the states.  Every field of scheme_to_dict of that scheme must then
-    equal the field of the same name (type-strict on the base values, where
-    JSON true would otherwise equal 1), else ValueError names the first that
-    differs.  Transitions are range-checked only: nothing ties them to the
-    polynomial, so a multiset that names the wrong states still loads, and
-    verify_scheme (`oncells check`) is what catches it.
+    A file is a cache of synthesize(polynomial, q0): only p, vars, the
+    polynomial and q0 are parsed, and the closure runs with max_states the
+    file's state count.  Every field of scheme_to_dict of the result must
+    then equal the field of the same name, and every number in the
+    transitions and base values must be an exact int (JSON true and 1.0
+    would otherwise equal 1), else ValueError names what differs.  So a
+    multiset that names the wrong state, even a bisimilar one, is refused.
+    The writer never writes a parenthesis, and refusing one keeps parsing
+    linear; the shape check before the closure and SYNTH_BUDGET bound the
+    work a hostile file can ask for.
     """
     try:
         p = ensure_prime(data["p"])
         vars = data["vars"]
         if type(vars) is not list or not all(type(v) is str for v in vars):
             raise ValueError(f"vars must be a list of names, got {vars!r}")
-        poly = parse_poly(data["polynomial"], vars, p).canonical()
-        states = tuple(parse_poly(s, vars, p).canonical() for s in data["states"])
-        m = len(states)
+        texts = data["polynomial"], data["q0"]
+        if any("(" in text for text in texts):
+            raise ValueError("polynomial and q0 must be written without parentheses")
+        m, rows = len(data["states"]), data["transitions"]
         if m == 0:
             raise ValueError("scheme has no states")
-        if len(set(states)) != m:
-            raise ValueError("duplicate states")
-        rows = data["transitions"]
-        transitions = tuple(
-            tuple(_multiset(rows[j][i], m) for i in range(p)) for j in range(m)
-        )
-        scheme = _build(poly, states, transitions)
+        if [len(row) if type(row) is list else 0 for row in rows] != [p] * m:
+            raise ValueError(f"transitions must be a list of {m} rows of {p} multisets")
+        poly, q0 = (parse_poly(text, vars, p) for text in texts)
+        scheme = synthesize(poly, q0, max_states=m)
+        numbers = chain(*chain(*rows), data["base_scalar"], *data["base_histogram"])
+        if set(map(type, numbers)) - {int}:
+            raise ValueError("transitions and base values must be integers")
         for field, value in scheme_to_dict(scheme).items():
-            given = data[field]
-            if field.startswith("base_"):
-                value, given = json.dumps(value), json.dumps(given)
-            if value != given:
+            if value != data[field]:
                 raise ValueError(f"field {field!r} differs from the scheme rebuilt from the file")
+    except LimitError as exc:  # the closure outgrew the file's states or SYNTH_BUDGET
+        raise ValueError(f"field 'states' does not hold the polynomial's closure: {exc}") from None
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed scheme data: {exc}") from exc
     return scheme
-
-
-def _multiset(indices, m: int) -> tuple[int, ...]:
-    for idx in indices:
-        # exact int: JSON true would otherwise pass as 1
-        if type(idx) is not int or not 1 <= idx <= m:
-            raise ValueError(f"state index {idx!r} out of range 1..{m}")
-    return tuple(sorted(indices))
 
 
 def scheme_from_json(text: str) -> Scheme:

@@ -9,6 +9,7 @@ import pytest
 
 import oncells
 import oncells.oracle as oracle
+import oncells.scheme as scheme_module
 import oncells.sequence as sequence
 from oncells import (
     Scheme,
@@ -249,18 +250,76 @@ def test_check_refuses_the_value_cap_before_brute_force(capsys):
 
 
 def test_check_fails_on_bad_scheme(tmp_path, capsys):
+    # structurally valid, semantically wrong: refused on load, so check and
+    # eval never step it (verify_scheme's report on it is pinned in test_oracle)
     path = tmp_path / "toy.json"
     synth_toy(path)
     data = json.loads(path.read_text())
-    data["transitions"][0][1] = [1, 1]  # structurally valid, semantically wrong
+    data["transitions"][0][1] = [1, 1]
     path.write_text(json.dumps(data))
-    assert main(["check", "--scheme", str(path), "--nmax", "16"]) == 1
-    failures = [line for line in capsys.readouterr().out.splitlines() if "FAIL " in line]
-    assert failures == [
-        "  FAIL      scalar_vs_brute  [n=1, expected=3, got=2]",
-        "  FAIL      histogram_vs_brute  [n=1, expected=[3], got=[2]]",
-        "  FAIL      recurrence_identity  [state=1, digit=1, n=0, expected=3, got=2]",
-    ]
+    message = "error: field 'transitions' differs from the scheme rebuilt from the file\n"
+    for command, option in [("check", "--nmax"), ("eval", "--n")]:
+        assert main([command, "--scheme", str(path), option, "16"]) == 2
+        assert capsys.readouterr() == ("", message)
+
+
+def test_hostile_input_ends_within_a_second(tmp_path, capsys):
+    # a 145-byte one-state 1+x scheme mod 65521, and a 2.5 KB polynomial of
+    # 300 parenthesized factors: re-synthesis and parsing must not run away
+    one_state = {
+        "p": 65521,
+        "vars": ["x"],
+        "polynomial": "1+x",
+        "q0": "1",
+        "states": ["1"],
+        "transitions": [[[1]]],
+        "base_scalar": [1],
+        "base_histogram": [[1]],
+    }
+    nested = {**one_state, "vars": ["x", "y"], "polynomial": "(1+x+y)*" * 300 + "1"}
+    cases = []
+    for name, data, message in [
+        ("one-state", one_state, "transitions must be a list of 1 rows of 65521 multisets"),
+        ("nested", nested, "polynomial and q0 must be written without parentheses"),
+    ]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        cases.append((["eval", "--scheme", str(path), "--n", "5"], 2, message))
+    synth = ["synth", "-p", "65521", "--vars", "x", "--poly", "1+x", "--max-states", "5"]
+    cases.append((synth, 3, "state count exceeded max_states=5"))
+    for argv, code, message in cases:
+        start = time.perf_counter()
+        assert main(argv) == code
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_load_past_the_closure_or_the_budget_is_invalid_input(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "toy.json"
+    synth_toy(path)
+    data = json.loads(path.read_text())
+    short = {**data, "states": ["1"], "transitions": data["transitions"][:1]}
+    short.update(base_scalar=[1], base_histogram=[[1]])
+    (tmp_path / "short.json").write_text(json.dumps(short))
+    assert main(["eval", "--scheme", str(tmp_path / "short.json"), "--n", "5"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: field 'states' does not hold the polynomial's closure: "
+        "state count exceeded max_states=1\n",
+    )
+    # the toy's closure spends (1 + 2) state terms x (1 + 3) power terms,
+    # plus 1 x 3 to build P^1: 15 term products
+    monkeypatch.setattr(scheme_module, "SYNTH_BUDGET", 14)
+    assert main(["eval", "--scheme", str(path), "--n", "5"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: field 'states' does not hold the polynomial's closure: "
+        "synthesis exceeded its budget of 14 term products\n",
+    )
+    assert main(["synth", "-p", "2", "--vars", "x", "--poly", "1+x+x^2"]) == 3
+    monkeypatch.setattr(scheme_module, "SYNTH_BUDGET", 15)
+    assert main(["eval", "--scheme", str(path), "--n", "5"]) == 0
+    assert capsys.readouterr().out.endswith("9\n")
 
 
 def test_check_catches_a_wrong_quotient(tmp_path, capsys, monkeypatch):

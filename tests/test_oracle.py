@@ -300,7 +300,14 @@ def test_verify_scheme_catches_corruption(toy):
         "expected": 3,
         "got": 2,
     }
-    assert "FAIL" in report.render_text()
+    # the report `oncells check --nmax 16` would print for this scheme
+    report = verify_scheme(broken, 16, gf=gf_prove(broken))
+    failures = [line for line in report.render_text().splitlines() if "FAIL " in line]
+    assert failures == [
+        "  FAIL      scalar_vs_brute  [n=1, expected=3, got=2]",
+        "  FAIL      histogram_vs_brute  [n=1, expected=[3], got=[2]]",
+        "  FAIL      recurrence_identity  [state=1, digit=1, n=0, expected=3, got=2]",
+    ]
 
 
 def test_series_agreement_reads_past_the_fitted_terms(toy):

@@ -64,6 +64,9 @@ def test_parse_errors():
     except ParseError as exc:
         err = exc
     assert err is not None and err.position == 2
+    # "²" is a digit to str.isdigit, but int() refuses it
+    with pytest.raises(ParseError, match=r"^expected an integer \(at position 2\)$"):
+        parse_poly("x^\u00b2", X, 2)
 
 
 def test_parse_builds_one_polynomial_per_sum(monkeypatch):

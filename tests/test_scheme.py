@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oncells import (
     LimitError,
     ModPoly,
+    Scheme,
     brute_histograms,
     brute_values,
     degree_bounds,
@@ -27,10 +28,9 @@ from oncells import (
     sparse_terms,
     synthesize,
     terms_prefix,
-    verify_scheme,
 )
+import oncells.scheme as scheme_module
 from oncells.genfun import _fit
-from oncells.scheme import _build
 from strategies import random_polys, seeds, symmetric_products
 
 X = ("x",)
@@ -96,7 +96,15 @@ def _reference_synthesize(poly: ModPoly, q0: ModPoly | None = None, max_states: 
                 multiset.append(idx)
             row.append(tuple(sorted(multiset)))
         transitions.append(tuple(row))
-    return _build(poly, tuple(states), tuple(transitions))
+    return Scheme(
+        p,
+        poly.vars,
+        poly,
+        tuple(states),
+        tuple(transitions),
+        tuple(s.coeff_sum() for s in states),
+        tuple(s.coeff_histogram() for s in states),
+    )
 
 
 def test_toy_scheme(toy):
@@ -345,6 +353,30 @@ def test_load_rejects_corrupt_data(toy):
     with pytest.raises(ValueError):
         scheme_from_json(json.dumps(bad))
 
+    shape = "^transitions must be a list of 2 rows of 2 multisets$"
+    ints = "^transitions and base values must be integers$"
+    for where, value, message in [
+        (("polynomial",), "(1+x)*(1+x)", "without parentheses"),
+        (("q0",), "(1)", "without parentheses"),
+        (("states",), [], "^scheme has no states$"),
+        (("transitions",), [[[1], [1, 2]]], shape),
+        (("transitions", 1), [[1]], shape),
+        (("transitions", 1), 5, shape),
+        (("transitions",), {"0": [], "1": []}, shape),
+        (("transitions", 0, 1, 0), True, ints),  # JSON true and 1.0 equal 1
+        (("transitions", 1, 0, 0), 1.0, ints),
+        (("base_scalar", 0), True, ints),
+        (("base_histogram", 1, 0), 2.0, ints),
+    ]:
+        bad = json.loads(json.dumps(good))
+        *keys, last = where
+        target = bad
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ValueError, match=message):
+            scheme_from_dict(bad)
+
 
 @settings(max_examples=100, deadline=None)
 @given(random_polys(max_vars=3), st.data())
@@ -383,13 +415,14 @@ def _mutations(value):
 
 
 @pytest.mark.parametrize("path", sorted(SCHEMES_DIR.glob("*.json")), ids=lambda path: path.stem)
-def test_single_leaf_mutations_are_refused_or_caught(path):
-    # the loader holds every derived field to the writer's form; the
-    # transitions are range-checked only, and nothing ties them to the
-    # polynomial, so a mutation there may load.  It must then fail check, or
-    # name a bisimilar state, so that the automaton stepped stays the same.
+def test_single_leaf_mutations_are_refused(path):
+    # the loader re-synthesizes the scheme from the polynomial and q0, so a
+    # mutation anywhere, the transitions included, makes some field differ
     data = json.loads(path.read_text())
-    original = scheme_from_dict(data)
+    assert scheme_from_dict(data) == synthesize(
+        parse_poly(data["polynomial"], data["vars"], data["p"]),
+        parse_poly(data["q0"], data["vars"], data["p"]),
+    )
     for where, value in _leaves(data):
         for new in _mutations(value):
             mutated = json.loads(json.dumps(data))
@@ -398,13 +431,68 @@ def test_single_leaf_mutations_are_refused_or_caught(path):
             for key in keys:
                 target = target[key]
             target[last] = new
-            try:
-                s = scheme_from_json(json.dumps(mutated))
-            except ValueError:
-                continue
-            assert where[0] in ("transitions", "polynomial"), (where, new)
-            caught = not verify_scheme(s, 64, gf=gf_prove(s)).ok
-            assert caught or s.lumped == original.lumped, (where, new)
+            with pytest.raises(ValueError):
+                scheme_from_json(json.dumps(mutated))
+
+
+def test_bisimilar_index_swap_is_refused():
+    # states 1+2*x and 2+x of p3-univariate-quadratic lump to one class, so
+    # naming one for the other steps the same automaton; it is still not the
+    # file synth writes
+    data = json.loads((SCHEMES_DIR / "p3-univariate-quadratic.json").read_text())
+    s = scheme_from_dict(data)
+    assert (s.state_count, s.lumped.state_count) == (4, 3)
+    assert data["states"][1:3] == ["1+2*x", "2+x"]
+    assert data["transitions"][1][1] == [2]
+    data["transitions"][1][1] = [3]
+    with pytest.raises(ValueError, match="^field 'transitions' differs from the scheme rebuilt"):
+        scheme_from_dict(data)
+
+
+def _synthesis_need(scheme) -> int:
+    """Term products of the closure: sum_j |Q_j| * sum_i |P^i| + sum_i |P^(i-1)| * |P|."""
+    poly = scheme.poly
+    powers = [ModPoly.one(poly.p, poly.vars)]
+    for _ in range(1, poly.p):
+        powers.append(powers[-1] * poly)
+    sizes = [len(q.terms) for q in powers]
+    states = sum(len(q.terms) for q in scheme.states)
+    return states * sum(sizes) + sum(sizes[:-1]) * len(poly.terms)
+
+
+@pytest.mark.parametrize(
+    "poly, q0",
+    [
+        (parse_poly("1+x+x^2", X, 5), None),
+        (parse_poly("(1+x+x^2)*(1+y+y^2)*(1+z+z^2)-x*y*z", ("x", "y", "z"), 2), None),
+        (parse_poly("x^-2+x+y^-1+y", ("x", "y"), 3), parse_poly("x^5+2*y^3", ("x", "y"), 3)),
+    ],
+    ids=["c5", "t3", "laurent"],
+)
+def test_synthesis_budget_edge(poly, q0, monkeypatch):
+    need = _synthesis_need(synthesize(poly, q0))
+    monkeypatch.setattr(scheme_module, "SYNTH_BUDGET", need)
+    text = scheme_to_json(synthesize(poly, q0))
+    assert scheme_from_json(text) == synthesize(poly, q0)  # a load spends the same
+    monkeypatch.setattr(scheme_module, "SYNTH_BUDGET", need - 1)
+    with pytest.raises(LimitError, match=f"budget of {need - 1} term products"):
+        synthesize(poly, q0)
+    with pytest.raises(ValueError, match=f"^field 'states' .*budget of {need - 1} term products$"):
+        scheme_from_json(text)
+
+
+def test_synthesis_budget_fits_the_largest_closures():
+    # 1+x mod p: p - 1 one-term states, |P^i| = i + 1, so the need has a
+    # closed form; checked at p = 97 and taken at p = 257 (8.6e6, about 10 s)
+    def need(p):
+        return (p - 1) * p * (p + 1) // 2 + p * (p - 1)
+
+    assert _synthesis_need(synthesize(parse_poly("1+x", X, 97))) == need(97)
+    assert need(257) < scheme_module.SYNTH_BUDGET
+    # the 5x5 block minus its centre, mod 2
+    block = {(i, j): 1 for i in range(5) for j in range(5) if (i, j) != (2, 2)}
+    s = synthesize(ModPoly(2, ("x", "y"), block))
+    assert (s.state_count, _synthesis_need(s)) == (28933, 5968349)
 
 
 def test_transitions_are_sorted_multisets(corpus):
