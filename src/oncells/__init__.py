@@ -31,11 +31,11 @@ _EXPORTS = {
     "rlt_check": "oracle",
     "rlt_expand": "oracle",
     "verify_scheme": "oracle",
+    "LimitError": "poly",
     "ModPoly": "poly",
     "ParseError": "poly",
     "ensure_prime": "poly",
     "parse_poly": "poly",
-    "LimitError": "scheme",
     "Scheme": "scheme",
     "degree_bounds": "scheme",
     "load_scheme": "scheme",

@@ -21,7 +21,7 @@ import json
 import sys
 from collections.abc import Iterable
 
-from .poly import ParseError, parse_poly
+from .poly import ParseError, _digit_limit, parse_poly
 from .scheme import LimitError, load_scheme, save_scheme, scheme_to_json, synthesize
 from .sequence import eval_at, eval_histogram_at, histogram_prefix, sparse_terms, terms_prefix
 
@@ -79,11 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--json", action="store_true")
 
     return parser
-
-
-def _digit_limit() -> int:
-    """Most decimal digits str() converts, 0 for no limit (interpreters before 3.10.7)."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def _printable(values: Iterable[int]) -> None:

@@ -8,13 +8,29 @@ separate pass, and equality of polynomials is equality of term dictionaries.
 
   1 + x + x^2 over vars ("x",) mod 2   ->   {(0,): 1, (1,): 1, (2,): 1}
 
-Values are immutable after construction; all operations return new objects.
+A ModPoly is an immutable value: it is built once, then compared, hashed,
+printed and read.  It has no arithmetic; the parser, the scheme closure and
+the brute-force oracle each multiply on their own representation.
 """
 
 from __future__ import annotations
 
+import sys
 from math import isqrt
 from operator import add
+
+
+class LimitError(RuntimeError):
+    """A resource limit (state count, a term-product budget, output digits) was hit."""
+
+
+# term products one parse_poly or synthesize call may spend.  A parse charges
+# len(left) * len(right) for each '*'; a closure charges len(Q_j) * len(P^i)
+# for each state and digit, plus len(P^(i-1)) * len(P) to build each power.
+# The 5x5 block minus its centre mod 2 (28,933 states) needs 6.0e6, 1+x mod
+# 257 8.6e6.  scheme imports the name, so a parse reads poly.SYNTH_BUDGET and
+# synthesize reads scheme.SYNTH_BUDGET.
+SYNTH_BUDGET = 10_000_000
 
 
 class ParseError(ValueError):
@@ -23,6 +39,11 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+def _digit_limit() -> int:
+    """Most decimal digits int() and str() convert, 0 for no limit (interpreters before 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def ensure_prime(p: int) -> int:
@@ -58,10 +79,6 @@ class ModPoly:
         self._key = tuple(sorted(reduced.items()))
 
     @classmethod
-    def zero(cls, p: int, vars: tuple[str, ...]) -> ModPoly:
-        return cls(p, vars, {})
-
-    @classmethod
     def one(cls, p: int, vars: tuple[str, ...]) -> ModPoly:
         return cls.constant(p, vars, 1)
 
@@ -82,48 +99,6 @@ class ModPoly:
 
     def __repr__(self) -> str:
         return f"ModPoly(p={self.p}, {self})"
-
-    def _check_compatible(self, other: ModPoly) -> None:
-        if self.p != other.p:
-            raise ValueError(f"mismatched moduli: {self.p} vs {other.p}")
-        if self.vars != other.vars:
-            raise ValueError(f"mismatched variables: {self.vars} vs {other.vars}")
-
-    def __add__(self, other: ModPoly) -> ModPoly:
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, 0) + c
-        return ModPoly(self.p, self.vars, out)
-
-    def __sub__(self, other: ModPoly) -> ModPoly:
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, 0) - c
-        return ModPoly(self.p, self.vars, out)
-
-    def __mul__(self, other: ModPoly | int) -> ModPoly:
-        if isinstance(other, int):
-            return ModPoly(self.p, self.vars, {e: c * other for e, c in self.terms.items()})
-        self._check_compatible(other)
-        return ModPoly(self.p, self.vars, _product(self.terms, other.terms))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> ModPoly:
-        """Square-and-multiply power; the empty product for e = 0."""
-        if e < 0:
-            raise ValueError(f"exponent must be nonnegative, got {e}")
-        result = ModPoly.one(self.p, self.vars)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     def degrees(self) -> tuple[int, ...]:
         """Per-variable maximum exponent (the zero polynomial has all zeros)."""
@@ -177,16 +152,6 @@ class ModPoly:
         return "+".join(parts)
 
 
-def _product(a: dict, b: dict) -> dict[tuple[int, ...], int]:
-    """The unreduced product of two {exponents: coeff} term dicts."""
-    out: dict[tuple[int, ...], int] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
-    return out
-
-
 class _Parser:
     """Recursive-descent parser for the polynomial expression grammar.
 
@@ -203,6 +168,7 @@ class _Parser:
         self.vars = vars
         self.p = p
         self.pos = 0
+        self.budget, self.spent = SYNTH_BUDGET, 0
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -224,6 +190,10 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
+        # int() refuses a literal past the limit, but without a position
+        limit = _digit_limit()
+        if limit and self.pos - start > limit:
+            raise ParseError(f"integer literal has more than {limit} digits", start)
         return int(self.text[start:self.pos])
 
     def _identifier(self) -> str:
@@ -259,7 +229,15 @@ class _Parser:
         result = self._factor()
         while self._peek() == "*":
             self.pos += 1
-            product = _product(result, self._factor())
+            factor = self._factor()
+            self.spent += len(result) * len(factor)
+            if self.spent > self.budget:
+                raise LimitError(f"parsing exceeded its budget of {self.budget} term products")
+            product: dict[tuple[int, ...], int] = {}
+            for ea, ca in result.items():
+                for eb, cb in factor.items():
+                    e = tuple(map(add, ea, eb))
+                    product[e] = product.get(e, 0) + ca * cb
             result = {e: c % self.p for e, c in product.items() if c % self.p}
         return result
 
@@ -292,7 +270,9 @@ def parse_poly(text: str, vars: tuple[str, ...] | list[str], p: int) -> ModPoly:
 
     Negative exponents (Laurent terms) are preserved; canonicalization is a
     separate step.  Raises ParseError with the offending position on bad
-    syntax or an undeclared variable, TypeError if text is not a string.
+    syntax, an undeclared variable or an integer literal longer than int()
+    converts, LimitError once the products of the expression spend more
+    than SYNTH_BUDGET term products, TypeError if text is not a string.
     """
     ensure_prime(p)
     if not isinstance(text, str):

@@ -40,17 +40,7 @@ from functools import cached_property
 from itertools import chain
 from operator import floordiv, lshift, mod
 
-from .poly import ModPoly, ensure_prime, parse_poly
-
-
-class LimitError(RuntimeError):
-    """A resource limit (state count, a term-product budget, output digits) was hit."""
-
-
-# term products one synthesize call may spend: len(Q_j) * len(P^i) for each
-# state and digit, plus len(P^(i-1)) * len(P) to build each power.  The 5x5
-# block minus its centre mod 2 (28,933 states) needs 6.0e6, 1+x mod 257 8.6e6.
-SYNTH_BUDGET = 10_000_000
+from .poly import SYNTH_BUDGET, LimitError, ModPoly, ensure_prime, parse_poly
 
 
 class Scheme(namedtuple("Scheme", "p vars poly states transitions base_scalar base_histogram")):

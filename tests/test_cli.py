@@ -9,6 +9,7 @@ import pytest
 
 import oncells
 import oncells.oracle as oracle
+import oncells.poly as poly_module
 import oncells.scheme as scheme_module
 import oncells.sequence as sequence
 from oncells import (
@@ -525,6 +526,23 @@ def test_deeply_nested_input_rejected(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+
+def test_synth_refuses_a_long_literal_and_an_oversized_product(capsys, monkeypatch):
+    # a literal past the int-string limit is invalid input with its position
+    assert main(["synth", "-p", "2", "--vars", "x", "--poly", "x^" + "9" * 5000]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: integer literal has more than ")
+    assert captured.err.endswith(" digits (at position 2)\n")
+    # (1+x)*(1+x)*(1+x) mod 2 spends 4 + 4 term products while parsing
+    argv = ["synth", "-p", "2", "--vars", "x", "--poly", "(1+x)*(1+x)*(1+x)"]
+    monkeypatch.setattr(poly_module, "SYNTH_BUDGET", 7)
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "error: parsing exceeded its budget of 7 term products\n")
+    monkeypatch.setattr(poly_module, "SYNTH_BUDGET", 8)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["polynomial"] == "1+x+x^2+x^3"
 
 
 def test_shipped_schemes_check_clean(capsys):

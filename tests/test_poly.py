@@ -2,9 +2,11 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from oncells import ModPoly, ParseError, ensure_prime, parse_poly
-from strategies import random_polys
+import oncells.poly as poly_module
+from oncells import LimitError, ModPoly, ParseError, ensure_prime, parse_poly
+from strategies import combine, power, product, random_polys, seeds
 from test_scheme import _residue_split
 
 X = ("x",)
@@ -67,6 +69,34 @@ def test_parse_errors():
     # "²" is a digit to str.isdigit, but int() refuses it
     with pytest.raises(ParseError, match=r"^expected an integer \(at position 2\)$"):
         parse_poly("x^\u00b2", X, 2)
+    # a literal past the int-string limit is refused before int() refuses it
+    # without a position
+    for text, position in (("x^" + "9" * 5000, 2), ("9" * 5000, 0)):
+        with pytest.raises(ParseError, match=r"^integer literal has more than \d+ digits") as info:
+            parse_poly(text, X, 2)
+        assert info.value.position == position
+
+
+def test_parse_budget_edge(monkeypatch):
+    # (1+x)*(1+x) spends 2 * 2; its square 1+x^2 (mod 2) times 1+x spends 2 * 2 more
+    text = "(1+x)*(1+x)*(1+x)"
+    monkeypatch.setattr(poly_module, "SYNTH_BUDGET", 8)
+    assert parse_poly(text, X, 2) == parse_poly("1+x+x^2+x^3", X, 2)
+    monkeypatch.setattr(poly_module, "SYNTH_BUDGET", 7)
+    with pytest.raises(LimitError, match="^parsing exceeded its budget of 7 term products$"):
+        parse_poly(text, X, 2)
+    # each '*' inside a monomial charges 1 * 1, and a sum charges nothing
+    monkeypatch.setattr(poly_module, "SYNTH_BUDGET", 3)
+    assert parse_poly("1+x*x+2*x*x^2", X, 3) == parse_poly("1+x^2+2*x^3", X, 3)
+
+
+@given(random_polys(max_vars=3), st.data())
+def test_parse_arithmetic_property(a, data):
+    # the parser's '*', '+' and '-' are the polynomial arithmetic a user reaches
+    b = data.draw(seeds(a))
+    assert parse_poly(f"({a})*({b})", a.vars, a.p) == product(a, b)
+    assert parse_poly(f"({a})+({b})", a.vars, a.p) == combine(a, b)
+    assert parse_poly(f"({a})-({b})", a.vars, a.p) == combine(a, b, -1)
 
 
 def test_parse_builds_one_polynomial_per_sum(monkeypatch):
@@ -95,7 +125,7 @@ def test_canonicalize():
     c = parse_poly("1+x", X, 2)
     assert c.canonical() is c
     with pytest.raises(ValueError):
-        ModPoly.zero(2, X).canonical()
+        ModPoly(2, X, {}).canonical()
 
 
 def test_canonicalize_idempotent_and_preserves_functionals():
@@ -109,51 +139,23 @@ def test_canonicalize_idempotent_and_preserves_functionals():
             assert c.coeff_histogram() == a.coeff_histogram()
 
 
-def test_mul():
-    a = parse_poly("1+x", X, 2)
-    b = parse_poly("1+x+x^2", X, 2)
-    assert a * b == parse_poly("1+x^3", X, 2)
-    c = parse_poly("1+x", X, 3)
-    assert c * c == parse_poly("1+2*x+x^2", X, 3)
-    one = ModPoly.one(2, X)
-    assert b * one == b
-
-
-def test_mul_mismatch():
-    with pytest.raises(ValueError):
-        parse_poly("x", X, 2) * parse_poly("x", X, 3)
-    with pytest.raises(ValueError):
-        parse_poly("x", X, 2) * parse_poly("x", ("y",), 2)
-
-
-def test_pow():
-    b = parse_poly("1+x+x^2", X, 2)
-    assert b**2 == parse_poly("1+x^2+x^4", X, 2)
-    c = parse_poly("1+x", X, 3)
-    assert c**3 == parse_poly("1+x^3", X, 3)
-    assert b**0 == ModPoly.one(2, X)
-    assert ModPoly.zero(2, X) ** 0 == ModPoly.one(2, X)
-    with pytest.raises(ValueError):
-        b**-1
-
-
 def test_prime_power_scales_exponents(corpus):
     # P**p must equal P with every exponent multiplied by p (term-set equality)
     for _, p, raw, _ in corpus:
         canon = raw.canonical()
-        assert canon**p == scaled_exponents(canon, p)
+        assert power(canon, p) == scaled_exponents(canon, p)
 
 
 def test_coeff_sum():
     assert parse_poly("1+x^3", X, 2).coeff_sum() == 2
     assert parse_poly("1+2*x+x^2", X, 3).coeff_sum() == 4
-    assert ModPoly.zero(2, X).coeff_sum() == 0
+    assert ModPoly(2, X, {}).coeff_sum() == 0
 
 
 def test_coeff_histogram():
     assert parse_poly("1+2*x+x^2", X, 3).coeff_histogram() == (2, 1)
     assert parse_poly("1+x^3", X, 2).coeff_histogram() == (2,)
-    assert ModPoly.zero(5, X).coeff_histogram() == (0, 0, 0, 0)
+    assert ModPoly(5, X, {}).coeff_histogram() == (0, 0, 0, 0)
 
 
 def test_scalar_is_weighted_histogram():
@@ -171,8 +173,8 @@ def test_monomial_invariance():
         for _ in range(20):
             a = random_poly(rng, p, 2)
             mono = ModPoly(p, a.vars, {(rng.randint(0, 4), rng.randint(0, 4)): 1})
-            assert (mono * a).coeff_sum() == a.coeff_sum()
-            assert (mono * a).coeff_histogram() == a.coeff_histogram()
+            assert product(mono, a).coeff_sum() == a.coeff_sum()
+            assert product(mono, a).coeff_histogram() == a.coeff_histogram()
 
 
 def test_residue_split():
@@ -202,10 +204,10 @@ def test_residue_split_reconstruction():
     for p in (2, 3, 5):
         for _ in range(25):
             a = random_poly(rng, p, 2)
-            total = ModPoly.zero(p, a.vars)
+            total = ModPoly(p, a.vars, {})
             for alpha, part in _residue_split(a).items():
                 mono = ModPoly(p, a.vars, {alpha: 1})
-                total = total + mono * scaled_exponents(part, p)
+                total = combine(total, product(mono, scaled_exponents(part, p)))
             assert total == a
 
 
@@ -215,7 +217,7 @@ def test_str_round_trip():
         for _ in range(25):
             a = random_poly(rng, p, 2)
             assert parse_poly(str(a), a.vars, p) == a
-    assert str(ModPoly.zero(2, X)) == "0"
+    assert str(ModPoly(2, X, {})) == "0"
     assert str(parse_poly("1+x+x^2", X, 2)) == "1+x+x^2"
     assert str(parse_poly("2*x+1", X, 3)) == "1+2*x"
 

@@ -31,7 +31,7 @@ from oncells import (
 )
 import oncells.scheme as scheme_module
 from oncells.genfun import _fit
-from strategies import random_polys, seeds, symmetric_products
+from strategies import product, random_polys, seeds, symmetric_products
 
 X = ("x",)
 SCHEMES_DIR = Path(__file__).resolve().parent.parent / "schemes"
@@ -75,7 +75,7 @@ def _reference_synthesize(poly: ModPoly, q0: ModPoly | None = None, max_states: 
     poly = poly.canonical()
     powers = [ModPoly.one(p, poly.vars)]
     for _ in range(1, p):
-        powers.append(powers[-1] * poly)
+        powers.append(product(powers[-1], poly))
     seed = (q0 or ModPoly.one(p, poly.vars)).canonical()
     states = [seed]
     index = {seed: 1}
@@ -84,7 +84,7 @@ def _reference_synthesize(poly: ModPoly, q0: ModPoly | None = None, max_states: 
         row = []
         for power in powers:
             multiset = []
-            for quotient in _residue_split(state * power).values():
+            for quotient in _residue_split(product(state, power)).values():
                 canon = quotient.canonical()
                 idx = index.get(canon)
                 if idx is None:
@@ -148,7 +148,7 @@ def test_seed_canonicalized():
 
 
 def test_zero_inputs_rejected():
-    zero = ModPoly.zero(2, X)
+    zero = ModPoly(2, X, {})
     one = ModPoly.one(2, X)
     with pytest.raises(ValueError):
         synthesize(zero, one)
@@ -454,7 +454,7 @@ def _synthesis_need(scheme) -> int:
     poly = scheme.poly
     powers = [ModPoly.one(poly.p, poly.vars)]
     for _ in range(1, poly.p):
-        powers.append(powers[-1] * poly)
+        powers.append(product(powers[-1], poly))
     sizes = [len(q.terms) for q in powers]
     states = sum(len(q.terms) for q in scheme.states)
     return states * sum(sizes) + sum(sizes[:-1]) * len(poly.terms)
