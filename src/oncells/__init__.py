@@ -21,7 +21,6 @@ _EXPORTS = {
     "gf_prove": "genfun",
     "gf_series": "genfun",
     "gf_to_dict": "genfun",
-    "gf_to_json": "genfun",
     "gf_to_text": "genfun",
     "CheckResult": "oracle",
     "VerificationReport": "oracle",

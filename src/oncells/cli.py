@@ -21,8 +21,8 @@ import json
 import sys
 from collections.abc import Iterable
 
-from .poly import ParseError, _digit_limit, parse_poly
-from .scheme import LimitError, load_scheme, save_scheme, scheme_to_json, synthesize
+from .poly import LimitError, ParseError, _digit_limit, parse_poly
+from .scheme import load_scheme, save_scheme, scheme_to_json, synthesize
 from .sequence import eval_at, eval_histogram_at, histogram_prefix, sparse_terms, terms_prefix
 
 EXIT_OK = 0
@@ -180,13 +180,13 @@ def _cmd_sparse(args) -> tuple[int, str]:
 
 
 def _cmd_gf(args) -> tuple[int, str]:
-    from .genfun import gf_prove, gf_to_json, gf_to_text
+    from .genfun import gf_prove, gf_to_dict, gf_to_text
 
     if args.budget is not None and not args.guess:
         raise ValueError("--budget needs --guess")
     gf = gf_prove(load_scheme(args.scheme), args.budget)
     _printable(gf.num + gf.den)
-    return EXIT_OK, gf_to_json(gf) if args.json else gf_to_text(gf) + "\n"
+    return EXIT_OK, _json(gf_to_dict(gf)) if args.json else gf_to_text(gf) + "\n"
 
 
 def _cmd_check(args) -> tuple[int, str]:

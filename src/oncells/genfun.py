@@ -19,11 +19,11 @@ gcd step follows it.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from fractions import Fraction
 
-from .scheme import LimitError, Scheme
+from .poly import LimitError
+from .scheme import Scheme
 from .sequence import sparse_terms
 
 
@@ -161,7 +161,3 @@ def gf_to_text(gf: RationalGF) -> str:
 
 def gf_to_dict(gf: RationalGF) -> dict:
     return {"num": list(gf.num), "den": list(gf.den), "rigorous": gf.rigorous}
-
-
-def gf_to_json(gf: RationalGF) -> str:
-    return json.dumps(gf_to_dict(gf)) + "\n"

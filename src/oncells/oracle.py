@@ -32,13 +32,12 @@ from math import gcd, lcm
 from operator import mul, sub
 
 from .genfun import RationalGF, gf_series
-from .poly import ModPoly
-from .scheme import LimitError, Scheme
+from .poly import LimitError, ModPoly
+from .scheme import Scheme
 from .sequence import (
     _check_count,
     _packed_histograms,
     _prefix,
-    eval_at,
     sparse_terms,
     terms_prefix,
 )
@@ -54,8 +53,8 @@ from .sequence import (
 # stops after about 30 s there.
 WORK_BUDGET = 15 * 10**6
 
-# verify_scheme checks the sparse terms at k <= _SPARSE_COUNT against eval_at, and
-# the series up to k = 2m + _SPARSE_COUNT, past the 2m terms a fit uses.
+# verify_scheme checks the sparse terms at k <= _SPARSE_COUNT against eval_at_memo,
+# and the series up to k = 2m + _SPARSE_COUNT, past the 2m terms a fit uses.
 _SPARSE_COUNT = 12
 
 # P's terms in one row whose fields lie at most this many bits apart act as one multiplier
@@ -75,34 +74,30 @@ def _axes(poly: ModPoly) -> list[tuple[int, ...]]:
     scaled to integers, and poly's powers pack as densely as those of
     1 + x + y + z.  Otherwise the axes are the variables.  Either matrix is
     invertible, so distinct monomials keep distinct coordinates, and
-    linear, so multiplying monomials adds their coordinates.
+    linear, so multiplying monomials adds their coordinates.  One Gauss-Jordan
+    pass over [differences | units | I] finds both: its pivot columns are the
+    basis, a difference without one is dependent, and I becomes the inverse.
     """
     n = len(poly.vars)
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     exps = sorted(poly.terms)
     diffs = [tuple(map(sub, e, exps[0])) for e in exps[1:]]
-    basis, echelon = [], []
-    for i, vec in enumerate(diffs + units):
-        rest = list(map(Fraction, vec))
-        for row, col in echelon:
-            rest = [a - rest[col] * b for a, b in zip(rest, row)]
-        col = next((j for j, x in enumerate(rest) if x), None)
-        if col is not None:
-            echelon.append(([x / rest[col] for x in rest], col))
-            basis.append(vec)
-        elif i < len(diffs):
-            return units
-    # Gauss-Jordan on [basis as columns | I] leaves the inverse on the right
-    rows = [[Fraction(b[i]) for b in basis] + list(unit) for i, unit in enumerate(units)]
-    for c in range(n):
-        pivot = next(r for r in range(c, n) if rows[r][c])
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        rows[c] = [x / rows[c][c] for x in rows[c]]
-        for r in range(n):
-            if r != c:
-                rows[r] = [a - rows[r][c] * b for a, b in zip(rows[r], rows[c])]
-    scale = lcm(*(x.denominator for row in rows for x in row[n:]))
-    return [tuple(int(x * scale) for x in row[n:]) for row in rows]
+    cols = diffs + units
+    rows = [[Fraction(c[i]) for c in cols + units] for i in range(n)]  # I's columns are units
+    r = 0
+    for j in range(len(cols)):
+        pivot = next((k for k in range(r, n) if rows[k][j]), None)
+        if pivot is None:
+            if j < len(diffs):
+                return units
+            continue
+        rows[pivot], rows[r] = rows[r], [x / rows[pivot][j] for x in rows[pivot]]
+        for k in range(n):
+            if k != r and rows[k][j]:
+                rows[k] = [a - rows[k][j] * b for a, b in zip(rows[k], rows[r])]
+        r += 1
+    scale = lcm(*(x.denominator for row in rows for x in row[len(cols) :]))
+    return [tuple(int(x * scale) for x in row[len(cols) :]) for row in rows]
 
 
 def _spans(terms: dict, n: int) -> list[int]:
@@ -404,22 +399,22 @@ def verify_scheme(
 
     Checks, in order: sequence and histogram values for state 1 on n < n_max;
     the per-state digit recurrence for n < n_max // p; the digit-0 fixed
-    point of the base vector; sparse terms against direct evaluation; series
-    coefficients of an attached generating function, over 2m + 13 terms so
-    that the check reads past the 2m terms a fit determines (m the state
-    count); and (p = 2 only) rlt_check up to rlt_limit, n_max by default.
+    point of the base vector; the sparse terms at k <= 12 against
+    eval_at_memo; series coefficients of an attached generating function,
+    over 2m + 13 terms so that the check reads past the 2m' <= 2m terms a
+    fit reads (m the state count, m' the class count of scheme.lumped);
+    and (p = 2 only) rlt_check up to rlt_limit, n_max by default.
     Each check's counterexample is its first mismatch, in the order listed
     (_first_failure).  Each state's chain is expanded once, under one
     WORK_BUDGET.  The fast side of the first two checks is one prefix per
     base column (terms_prefix, then one sequence._prefix over all p - 1
     residue columns packed into one int by sequence._packed_histograms),
-    and like every fast route it steps scheme.lumped.  Brute
-    force, the recurrence identity and the fixed point read the scheme's
-    own transitions, so the checks also test the lumping.  Raises
+    and like every fast route it steps scheme.lumped.  Brute force, the
+    recurrence identity, the fixed point and eval_at_memo read the
+    scheme's own transitions, so the checks also test the lumping.  Raises
     ValueError for n_max < 1, for a negative rlt_limit and for an
     rlt_limit when p != 2, LimitError before any expansion when n_max
-    passes terms_prefix's state-value cap, and LimitError past
-    WORK_BUDGET.
+    passes terms_prefix's state-value cap, and LimitError past WORK_BUDGET.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -471,7 +466,7 @@ def verify_scheme(
         ),
         _first_failure(
             "sparse_agreement",
-            (({"k": k}, eval_at(scheme, p**k - 1), sparse[k]) for k in range(_SPARSE_COUNT + 1)),
+            (({"k": k}, eval_at_memo(scheme, p**k - 1), sparse[k]) for k in range(_SPARSE_COUNT + 1)),
         ),
     ]
     if gf is not None:

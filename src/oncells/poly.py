@@ -28,8 +28,7 @@ class LimitError(RuntimeError):
 # len(left) * len(right) for each '*'; a closure charges len(Q_j) * len(P^i)
 # for each state and digit, plus len(P^(i-1)) * len(P) to build each power.
 # The 5x5 block minus its centre mod 2 (28,933 states) needs 6.0e6, 1+x mod
-# 257 8.6e6.  scheme imports the name, so a parse reads poly.SYNTH_BUDGET and
-# synthesize reads scheme.SYNTH_BUDGET.
+# 257 8.6e6.
 SYNTH_BUDGET = 10_000_000
 
 
@@ -80,11 +79,7 @@ class ModPoly:
 
     @classmethod
     def one(cls, p: int, vars: tuple[str, ...]) -> ModPoly:
-        return cls.constant(p, vars, 1)
-
-    @classmethod
-    def constant(cls, p: int, vars: tuple[str, ...], c: int) -> ModPoly:
-        return cls(p, vars, {(0,) * len(vars): c})
+        return cls(p, vars, {(0,) * len(vars): 1})
 
     def is_zero(self) -> bool:
         return not self.terms

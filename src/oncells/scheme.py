@@ -15,7 +15,7 @@ bound max(deg Q_1, deg P), which closure preserves.  The same bound D sizes
 the closure's arithmetic: no exponent of Q_j * P^i passes p * D, so each
 exponent vector packs into one int with a fixed-width field per variable,
 a term product is one int add, and packed ints sort as the vectors do.
-P^i is built when the closure first needs it, and SYNTH_BUDGET caps the
+P^i is built when the closure first needs it, and poly.SYNTH_BUDGET caps the
 term products one closure spends, so a state cap or the budget stops an
 oversized closure early.
 
@@ -40,7 +40,8 @@ from functools import cached_property
 from itertools import chain
 from operator import floordiv, lshift, mod
 
-from .poly import SYNTH_BUDGET, LimitError, ModPoly, ensure_prime, parse_poly
+from . import poly as _poly
+from .poly import LimitError, ModPoly, ensure_prime, parse_poly
 
 
 class Scheme(namedtuple("Scheme", "p vars poly states transitions base_scalar base_histogram")):
@@ -142,7 +143,7 @@ def synthesize(
     minimum.  One ModPoly per state is unpacked once the closure ends.
     P^i is built on the packed terms at the first state that needs it.
     Raises LimitError if more than max_states states appear or the closure
-    spends more than SYNTH_BUDGET term products (len(Q_j) * len(P^i) per
+    spends more than poly.SYNTH_BUDGET term products (len(Q_j) * len(P^i) per
     state and digit, len(P^(i-1)) * len(P) per power built), ValueError if
     max_states is below 1.
     """
@@ -168,7 +169,7 @@ def synthesize(
     def pack(exps) -> int:
         return sum(map(lshift, exps, shifts))
 
-    budget, spent = SYNTH_BUDGET, 0
+    budget, spent = _poly.SYNTH_BUDGET, 0
 
     def multiply(a, b) -> dict[int, int]:
         """The unreduced product of two packed term lists, charged len(a) * len(b)."""

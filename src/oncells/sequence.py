@@ -25,7 +25,8 @@ from collections.abc import Callable, Sequence
 from itertools import chain
 from operator import lshift
 
-from .scheme import LimitError, Scheme
+from .poly import LimitError
+from .scheme import Scheme
 
 # State values (count x m' per base column, m' the class count of
 # scheme.lumped, whose vectors are the ones stepped and kept) that one

@@ -10,7 +10,6 @@ import pytest
 import oncells
 import oncells.oracle as oracle
 import oncells.poly as poly_module
-import oncells.scheme as scheme_module
 import oncells.sequence as sequence
 from oncells import (
     Scheme,
@@ -310,7 +309,7 @@ def test_load_past_the_closure_or_the_budget_is_invalid_input(tmp_path, capsys, 
     )
     # the toy's closure spends (1 + 2) state terms x (1 + 3) power terms,
     # plus 1 x 3 to build P^1: 15 term products
-    monkeypatch.setattr(scheme_module, "SYNTH_BUDGET", 14)
+    monkeypatch.setattr(poly_module, "SYNTH_BUDGET", 14)
     assert main(["eval", "--scheme", str(path), "--n", "5"]) == 2
     assert capsys.readouterr() == (
         "",
@@ -318,7 +317,7 @@ def test_load_past_the_closure_or_the_budget_is_invalid_input(tmp_path, capsys, 
         "synthesis exceeded its budget of 14 term products\n",
     )
     assert main(["synth", "-p", "2", "--vars", "x", "--poly", "1+x+x^2"]) == 3
-    monkeypatch.setattr(scheme_module, "SYNTH_BUDGET", 15)
+    monkeypatch.setattr(poly_module, "SYNTH_BUDGET", 15)
     assert main(["eval", "--scheme", str(path), "--n", "5"]) == 0
     assert capsys.readouterr().out.endswith("9\n")
 
@@ -540,7 +539,11 @@ def test_synth_refuses_a_long_literal_and_an_oversized_product(capsys, monkeypat
     monkeypatch.setattr(poly_module, "SYNTH_BUDGET", 7)
     assert main(argv) == 3
     assert capsys.readouterr() == ("", "error: parsing exceeded its budget of 7 term products\n")
+    # 8 fits the parse, and the closure, which reads the same budget, is refused
     monkeypatch.setattr(poly_module, "SYNTH_BUDGET", 8)
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "error: synthesis exceeded its budget of 8 term products\n")
+    monkeypatch.undo()
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["polynomial"] == "1+x+x^2+x^3"
 

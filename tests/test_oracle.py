@@ -1,6 +1,8 @@
 import time
 from collections import Counter
-from operator import mul
+from fractions import Fraction
+from math import lcm
+from operator import mul, sub
 
 import pytest
 from hypothesis import assume, given, settings
@@ -133,29 +135,29 @@ def test_brute_force_matches_reference(poly, data):
     _assert_matches_reference(poly, seed, data.draw(st.integers(0, 10)))
 
 
-@pytest.mark.parametrize(
-    "poly, seed, vars, p, count",
-    [
-        ("1+x", "1+2*x^3", X, 97, 40),  # 1-byte fields: 96 x 2 < 256
-        ("3+x+5*y^2", "1+x*y", ("x", "y"), 97, 16),  # 2-byte fields
-        ("1+x+x^2", "1", X, 65521, 20),  # 4-byte fields
-        ("65520+65520*x+65520*y", "x^-1+y", ("x", "y"), 65521, 12),  # 8-byte fields
-        # lacunary: x is packed in steps of 1000, and the seed's terms fall in three rows
-        ("1+x^1000", "1+x+x^7", X, 2, 40),
-        ("1+x^1000", "2+x^-3+x^2003", X, 3, 30),
-        # x^-6 times 1 + x^6*y^9, and x^-6 times 1 + x^6*y^9 + x^6*y^18: the
-        # differences are independent, so they are the packed axes
-        ("x^-6+y^9", "1+y+x*y^2", ("x", "y"), 5, 20),
-        ("x^-6+y^9+y^18", "y^-1+x*y^4", ("x", "y"), 2, 20),
-        ("x^3*y^-1*z^2+x^4*z^3+y*z", "1+x+y*z^2", ("x", "y", "z"), 3, 20),
-        # dependent differences: x spans widest and is packed in steps of 6,
-        # and the seed's terms fall in three rows
-        ("1+x^6+x^12+y^9", "1+x+x^2*y", ("x", "y"), 3, 16),
-        # constants and a seed of many rows
-        ("1", "1+x+y", ("x", "y"), 3, 5),
-        ("x*y", "1+x^2+y^5", ("x", "y"), 2, 5),
-    ],
-)
+_BY_HAND = [
+    ("1+x", "1+2*x^3", X, 97, 40),  # 1-byte fields: 96 x 2 < 256
+    ("3+x+5*y^2", "1+x*y", ("x", "y"), 97, 16),  # 2-byte fields
+    ("1+x+x^2", "1", X, 65521, 20),  # 4-byte fields
+    ("65520+65520*x+65520*y", "x^-1+y", ("x", "y"), 65521, 12),  # 8-byte fields
+    # lacunary: x is packed in steps of 1000, and the seed's terms fall in three rows
+    ("1+x^1000", "1+x+x^7", X, 2, 40),
+    ("1+x^1000", "2+x^-3+x^2003", X, 3, 30),
+    # x^-6 times 1 + x^6*y^9, and x^-6 times 1 + x^6*y^9 + x^6*y^18: the
+    # differences are independent, so they are the packed axes
+    ("x^-6+y^9", "1+y+x*y^2", ("x", "y"), 5, 20),
+    ("x^-6+y^9+y^18", "y^-1+x*y^4", ("x", "y"), 2, 20),
+    ("x^3*y^-1*z^2+x^4*z^3+y*z", "1+x+y*z^2", ("x", "y", "z"), 3, 20),
+    # dependent differences: x spans widest and is packed in steps of 6,
+    # and the seed's terms fall in three rows
+    ("1+x^6+x^12+y^9", "1+x+x^2*y", ("x", "y"), 3, 16),
+    # constants and a seed of many rows
+    ("1", "1+x+y", ("x", "y"), 3, 5),
+    ("x*y", "1+x^2+y^5", ("x", "y"), 2, 5),
+]
+
+
+@pytest.mark.parametrize("poly, seed, vars, p, count", _BY_HAND)
 def test_brute_force_matches_reference_by_hand(poly, seed, vars, p, count):
     _assert_matches_reference(parse_poly(poly, vars, p), parse_poly(seed, vars, p), count)
 
@@ -178,6 +180,61 @@ def test_independent_differences_become_the_axes():
     assert sorted(images, reverse=True) == [(3, 0, 0), (0, 3, 0)]
     # 1 + x + x^2 has dependent differences: the axes stay the variables
     assert oracle._axes(parse_poly("1+x+x^2", X, 2)) == [(1,)]
+
+
+def _reference_axes(poly):
+    """_axes by two passes: one elimination picks the basis, a second Gauss-Jordan inverts it."""
+    n = len(poly.vars)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    exps = sorted(poly.terms)
+    diffs = [tuple(map(sub, e, exps[0])) for e in exps[1:]]
+    basis, echelon = [], []
+    for i, vec in enumerate(diffs + units):
+        rest = list(map(Fraction, vec))
+        for row, col in echelon:
+            rest = [a - rest[col] * b for a, b in zip(rest, row)]
+        col = next((j for j, x in enumerate(rest) if x), None)
+        if col is not None:
+            echelon.append(([x / rest[col] for x in rest], col))
+            basis.append(vec)
+        elif i < len(diffs):
+            return units
+    rows = [[Fraction(b[i]) for b in basis] + list(unit) for i, unit in enumerate(units)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c:
+                rows[r] = [a - rows[r][c] * b for a, b in zip(rows[r], rows[c])]
+    scale = lcm(*(x.denominator for row in rows for x in row[n:]))
+    return [tuple(int(x * scale) for x in row[n:]) for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_polys(max_vars=3))
+def test_axes_match_the_two_pass_reference(poly):
+    assert oracle._axes(poly) == _reference_axes(poly)
+
+
+XYZW = ("x", "y", "z", "w")
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [parse_poly(poly, vars, p) for poly, _, vars, p, _ in _BY_HAND]
+    + [
+        # the check smoke test's scheme: three independent differences
+        parse_poly("x^-2*y+x*z^3+y^2*z^-1+x^2*y^-2*z", ("x", "y", "z"), 3),
+        # four variables: three differences and one unit, then four differences
+        parse_poly("x^2*y^-1*w+y*z^3+w^-2*x+z*w", XYZW, 3),
+        parse_poly("x^2*y^-1*w+y*z^3+w^-2*x+z*w+x^3*y*z*w^-1", XYZW, 5),
+        ModPoly(2, (), {(): 1}),  # no variables, no axes
+    ],
+    ids=str,
+)
+def test_axes_match_the_two_pass_reference_by_hand(poly):
+    assert oracle._axes(poly) == _reference_axes(poly)
 
 
 @pytest.mark.parametrize("route", [brute_values, brute_histograms])
@@ -360,10 +417,10 @@ def _toy_bad_series(toy, monkeypatch):
     return toy, RationalGF(num=(1, 2) + (0,) * 14 + (1, -1, -2), den=(1, -1, -2))
 
 
-def _toy_bad_eval_at(toy, monkeypatch):
-    # a consistent scheme cannot fail sparse_agreement, so break the direct side at 2^3 - 1
-    real = oracle.eval_at
-    monkeypatch.setattr(oracle, "eval_at", lambda s, n: real(s, n) + (n == 7))
+def _toy_bad_eval_at_memo(toy, monkeypatch):
+    # break the memoized side of sparse_agreement at 2^3 - 1
+    real = oracle.eval_at_memo
+    monkeypatch.setattr(oracle, "eval_at_memo", lambda s, n: real(s, n) + (n == 7))
     return toy, gf_prove(toy)
 
 
@@ -429,7 +486,7 @@ _PASS = "  pass      "
             [None] * 5 + [{"k": 16, "expected": 87381, "got": 87382}, None],
         ),
         (
-            _toy_bad_eval_at,
+            _toy_bad_eval_at_memo,
             [
                 _PASS + "scalar_vs_brute",
                 _PASS + "histogram_vs_brute",
@@ -453,6 +510,26 @@ def test_verify_scheme_failure_text(toy, monkeypatch, make, lines, counterexampl
         "result: FAILED",
     ]
     assert [c["counterexample"] for c in report.to_dict()["checks"]] == counterexamples
+
+
+@pytest.mark.parametrize("name, expected", [("toy", 3), ("base3", 4)])
+def test_sparse_agreement_catches_a_wrong_top_digit_step(request, monkeypatch, name, expected):
+    # sparse_terms steps scheme.lumped on digit p - 1, while eval_at_memo
+    # reads the scheme's own transitions on demand: one step that adds 1 to
+    # state 1 on that digit must fail the check at k = 1
+    scheme = request.getfixturevalue(name)
+    real = sequence._step
+
+    def step(s, digit, vec):
+        out = real(s, digit, vec)
+        out[1] += digit == s.p - 1
+        return out
+
+    monkeypatch.setattr(sequence, "_step", step)
+    sparse = verify_scheme(scheme, 16).checks[4]
+    assert sparse.name == "sparse_agreement"
+    assert not sparse.passed
+    assert sparse.counterexample == {"k": 1, "expected": expected, "got": expected + 1}
 
 
 def test_verify_scheme_histograms_take_the_value_cap_only(base3, monkeypatch):

@@ -187,7 +187,7 @@ def test_residue_split():
     }
     b = parse_poly("1+x^2+x^4", X, 2)
     assert _residue_split(b) == {(0,): parse_poly("1+x+x^2", X, 2)}
-    c = ModPoly.constant(3, XY, 2)
+    c = ModPoly(3, XY, {(0, 0): 2})
     assert _residue_split(c) == {(0, 0): c}
     with pytest.raises(ValueError):
         _residue_split(parse_poly("x^-1+x", X, 2))
