@@ -9,9 +9,9 @@ brute-force oracle).
 Each command builds its whole output before writing it.  Only gf and check
 import the generating-function and oracle modules, so the other commands
 start without them.  Exit codes: 0 success, 1 verification failure, 2
-invalid input, 3 resource limit (state cap, synthesis or brute-force work
-budget, term cap, a --budget too small for an integer fraction, or an
-integer too long for str()).
+invalid input, 3 resource limit (state cap, the work budget of parsing,
+synthesis and brute force, term cap, a --budget too small for an integer
+fraction, or an integer too long for str()).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 import sys
 from collections.abc import Iterable
 
-from .poly import LimitError, ParseError, _digit_limit, parse_poly
+from .poly import LimitError, _digit_limit, parse_poly
 from .scheme import load_scheme, save_scheme, scheme_to_json, synthesize
 from .sequence import eval_at, eval_histogram_at, histogram_prefix, sparse_terms, terms_prefix
 
@@ -227,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     except LimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     sys.stdout.write(text)

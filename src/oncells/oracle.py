@@ -12,9 +12,9 @@ A step multiplies each row by each run of P's nearby terms, then reduces
 every field of a row mod p at once (bytes.translate for 1-byte fields).
 Each seed's product chain is expanded once per call, and a whole call
 (brute_values, brute_histograms or verify_scheme) spends at most
-WORK_BUDGET term products before it raises LimitError.  The memoized route
-evaluates the digit recurrence demand-driven, only for the states each
-index n // p^k actually needs, as a second check on the fast path at
+poly.WORK_BUDGET term products before it raises LimitError.  The memoized
+route evaluates the digit recurrence demand-driven, only for the states
+each index n // p^k actually needs, as a second check on the fast path at
 indices far beyond brute force.  Every check of a verification, the p = 2
 run-length-transform check included, reports its first mismatch by one
 rule (_first_failure).
@@ -32,26 +32,9 @@ from math import gcd, lcm
 from operator import mul, sub
 
 from .genfun import RationalGF, gf_series
-from .poly import LimitError, ModPoly
+from .poly import ModPoly, _charge
 from .scheme import Scheme
-from .sequence import (
-    _check_count,
-    _packed_histograms,
-    _prefix,
-    sparse_terms,
-    terms_prefix,
-)
-
-# Term products that one call of brute_values, brute_histograms or
-# verify_scheme may spend on all its chains, charged per step as the nonzero
-# terms of the current product times len(P), what a term-by-term convolution
-# multiplies.  verify_scheme needs 7.8e6 for x^-1+x+y^-1+y mod 2 at n_max = 257
-# (the largest check in the tests) and 5.5e6 for (1+x+x^2)(1+y+y^2)(1+z+z^2)
-# -xyz mod 2 (m = 110) at 8; at 32 that scheme stops here after about 0.25 s
-# on a 2-vCPU x86 VM.  Products whose rows hold about one term each spend it
-# slowest: brute force on x^3y^-1z^2+x^4z^3+yz+x^-2y^2+xyz^-3+z^-1 mod 2
-# stops after about 30 s there.
-WORK_BUDGET = 15 * 10**6
+from .sequence import _packed_histograms, _prefix, sparse_terms, terms_prefix
 
 # verify_scheme checks the sparse terms at k <= _SPARSE_COUNT against eval_at_memo,
 # and the series up to k = 2m + _SPARSE_COUNT, past the 2m terms a fit uses.
@@ -80,6 +63,8 @@ def _axes(poly: ModPoly) -> list[tuple[int, ...]]:
     """
     n = len(poly.vars)
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    if len(poly.terms) - 1 > n:  # more differences than variables are dependent
+        return units
     exps = sorted(poly.terms)
     diffs = [tuple(map(sub, e, exps[0])) for e in exps[1:]]
     cols = diffs + units
@@ -210,9 +195,9 @@ def _expand(poly: ModPoly, count: int) -> Callable[..., Iterator]:
     coordinate v mod g (counted from the seed's lowest), which no step
     changes.  Packing is linear, so keys add as coordinates do and no two
     rows of one product share a key, negative coordinates included.  Every
-    chain draws on the same WORK_BUDGET of term products, nonzero terms of
-    the current product times len(poly) per step; spending past it raises
-    LimitError.
+    chain draws on the same poly.WORK_BUDGET of term products, nonzero terms
+    of the current product times len(poly) per step, charged before the
+    step; spending past it raises LimitError.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -233,10 +218,10 @@ def _expand(poly: ModPoly, count: int) -> Callable[..., Iterator]:
     width = next(w for w in _TYPECODES if (p - 1) * sum(poly.terms.values()) < 256**w)
     bits = 8 * width
     reduce, tally = _field_ops(p, width)
-    left = WORK_BUDGET
+    spent = 0
 
     def chain(seed: ModPoly, histogram: bool = False) -> Iterator:
-        nonlocal left
+        nonlocal spent
         if seed.p != p or seed.vars != poly.vars:
             raise ValueError("seed and polynomial must share modulus and variables")
         seed_terms = coordinates(seed)
@@ -259,9 +244,7 @@ def _expand(poly: ModPoly, count: int) -> Callable[..., Iterator]:
         rows, terms = reduce(rows)
         for n in range(count):
             if n:
-                left -= terms * len(poly.terms)
-                if left < 0:
-                    raise LimitError(f"brute force exceeded {WORK_BUDGET} term products")
+                spent = _charge(spent, terms * len(poly.terms), "brute force")
                 rows, terms = _multiply(rows, base, reduce)
             if histogram:
                 yield tally(rows)
@@ -406,7 +389,7 @@ def verify_scheme(
     and (p = 2 only) rlt_check up to rlt_limit, n_max by default.
     Each check's counterexample is its first mismatch, in the order listed
     (_first_failure).  Each state's chain is expanded once, under one
-    WORK_BUDGET.  The fast side of the first two checks is one prefix per
+    poly.WORK_BUDGET.  The fast side of the first two checks is one prefix per
     base column (terms_prefix, then one sequence._prefix over all p - 1
     residue columns packed into one int by sequence._packed_histograms),
     and like every fast route it steps scheme.lumped.  Brute force, the
@@ -423,16 +406,14 @@ def verify_scheme(
         raise ValueError(f"the run-length check (rlt_limit) needs p = 2, got p = {p}")
     if rlt_limit is not None and rlt_limit < 0:
         raise ValueError(f"rlt_limit must be nonnegative, got {rlt_limit}")
-    _check_count(scheme.lumped, n_max)
-
+    fast = terms_prefix(scheme, n_max)  # refuses past its cap before any expansion
     chain = _expand(scheme.poly, n_max)
     hist_table = list(chain(scheme.states[0], histogram=True))
     first = [sum(i * c for i, c in enumerate(h, 1)) for h in hist_table]
     tables = [first] + [list(chain(q)) for q in scheme.states[1:]]
-    fast = terms_prefix(scheme, n_max)
-    # n_max is bounded by WORK_BUDGET and terms_prefix's count x m' cap, so the
-    # residue columns take no further charge (histogram_prefix's x (p - 1) would
-    # refuse checks whose brute force fits the budget)
+    # n_max is bounded by poly.WORK_BUDGET and terms_prefix's count x m' cap,
+    # so the residue columns take no further charge (histogram_prefix's
+    # x (p - 1) would refuse checks whose brute force fits the budget)
     lumped = scheme.lumped
     col, unpack = _packed_histograms(lumped, n_max - 1)
     fast_h = list(map(unpack, _prefix(lumped, n_max, col)))

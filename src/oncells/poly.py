@@ -10,7 +10,8 @@ separate pass, and equality of polynomials is equality of term dictionaries.
 
 A ModPoly is an immutable value: it is built once, then compared, hashed,
 printed and read.  It has no arithmetic; the parser, the scheme closure and
-the brute-force oracle each multiply on their own representation.
+the brute-force oracle each multiply on their own representation, and each
+charges its term products to the one WORK_BUDGET through _charge.
 """
 
 from __future__ import annotations
@@ -21,15 +22,30 @@ from operator import add
 
 
 class LimitError(RuntimeError):
-    """A resource limit (state count, a term-product budget, output digits) was hit."""
+    """A resource limit (state count, WORK_BUDGET, output digits) was hit."""
 
 
-# term products one parse_poly or synthesize call may spend.  A parse charges
-# len(left) * len(right) for each '*'; a closure charges len(Q_j) * len(P^i)
-# for each state and digit, plus len(P^(i-1)) * len(P) to build each power.
-# The 5x5 block minus its centre mod 2 (28,933 states) needs 6.0e6, 1+x mod
-# 257 8.6e6.
-SYNTH_BUDGET = 10_000_000
+# Term products one parse_poly, synthesize or brute-force call (brute_values,
+# brute_histograms, verify_scheme) may spend, each charged through _charge.  A
+# parse charges len(left) * len(right) per '*'; a closure len(Q_j) * len(P^i)
+# per state and digit, plus len(P^(i-1)) * len(P) per power built; brute
+# force the nonzero terms of the current product times len(P) per step.
+# Needs: synthesizing the 5x5 block minus its centre mod 2 (28,933 states)
+# 6.0e6 and 1+x mod 257 8.6e6; check of x^-1+x+y^-1+y mod 2 at n_max = 257
+# 7.8e6 and of (1+x+x^2)(1+y+y^2)(1+z+z^2)-xyz mod 2 at 8 5.5e6.  On a 2-vCPU
+# x86 VM the slowest known inputs reach it after 12.5-13.9 s to parse
+# (1+x+y+z+w)^50 mod 65521, 10-16 s to synthesize 1+x mod 271 or 1+x+y+x*y
+# mod 97, and about 18 s of brute force on x^3y^-1z^2+x^4z^3+yz+x^-2y^2
+# +xyz^-3+z^-1 mod 2, whose rows hold about one term each.
+WORK_BUDGET = 10_000_000
+
+
+def _charge(spent: int, cost: int, what: str) -> int:
+    """spent + cost, or LimitError naming what once that passes WORK_BUDGET, read at each call."""
+    spent += cost
+    if spent > WORK_BUDGET:
+        raise LimitError(f"{what} exceeded its budget of {WORK_BUDGET} term products")
+    return spent
 
 
 class ParseError(ValueError):
@@ -163,7 +179,7 @@ class _Parser:
         self.vars = vars
         self.p = p
         self.pos = 0
-        self.budget, self.spent = SYNTH_BUDGET, 0
+        self.spent = 0
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -225,9 +241,7 @@ class _Parser:
         while self._peek() == "*":
             self.pos += 1
             factor = self._factor()
-            self.spent += len(result) * len(factor)
-            if self.spent > self.budget:
-                raise LimitError(f"parsing exceeded its budget of {self.budget} term products")
+            self.spent = _charge(self.spent, len(result) * len(factor), "parsing")
             product: dict[tuple[int, ...], int] = {}
             for ea, ca in result.items():
                 for eb, cb in factor.items():
@@ -267,7 +281,7 @@ def parse_poly(text: str, vars: tuple[str, ...] | list[str], p: int) -> ModPoly:
     separate step.  Raises ParseError with the offending position on bad
     syntax, an undeclared variable or an integer literal longer than int()
     converts, LimitError once the products of the expression spend more
-    than SYNTH_BUDGET term products, TypeError if text is not a string.
+    than WORK_BUDGET term products, TypeError if text is not a string.
     """
     ensure_prime(p)
     if not isinstance(text, str):

@@ -15,7 +15,7 @@ bound max(deg Q_1, deg P), which closure preserves.  The same bound D sizes
 the closure's arithmetic: no exponent of Q_j * P^i passes p * D, so each
 exponent vector packs into one int with a fixed-width field per variable,
 a term product is one int add, and packed ints sort as the vectors do.
-P^i is built when the closure first needs it, and poly.SYNTH_BUDGET caps the
+P^i is built when the closure first needs it, and poly.WORK_BUDGET caps the
 term products one closure spends, so a state cap or the budget stops an
 oversized closure early.
 
@@ -40,8 +40,7 @@ from functools import cached_property
 from itertools import chain
 from operator import floordiv, lshift, mod
 
-from . import poly as _poly
-from .poly import LimitError, ModPoly, ensure_prime, parse_poly
+from .poly import LimitError, ModPoly, _charge, ensure_prime, parse_poly
 
 
 class Scheme(namedtuple("Scheme", "p vars poly states transitions base_scalar base_histogram")):
@@ -143,7 +142,7 @@ def synthesize(
     minimum.  One ModPoly per state is unpacked once the closure ends.
     P^i is built on the packed terms at the first state that needs it.
     Raises LimitError if more than max_states states appear or the closure
-    spends more than poly.SYNTH_BUDGET term products (len(Q_j) * len(P^i) per
+    spends more than poly.WORK_BUDGET term products (len(Q_j) * len(P^i) per
     state and digit, len(P^(i-1)) * len(P) per power built), ValueError if
     max_states is below 1.
     """
@@ -169,14 +168,12 @@ def synthesize(
     def pack(exps) -> int:
         return sum(map(lshift, exps, shifts))
 
-    budget, spent = _poly.SYNTH_BUDGET, 0
+    spent = 0
 
     def multiply(a, b) -> dict[int, int]:
         """The unreduced product of two packed term lists, charged len(a) * len(b)."""
         nonlocal spent
-        spent += len(a) * len(b)
-        if spent > budget:
-            raise LimitError(f"synthesis exceeded its budget of {budget} term products")
+        spent = _charge(spent, len(a) * len(b), "synthesis")
         product: dict[int, int] = {}
         get = product.get
         for ea, ca in a:
@@ -298,7 +295,7 @@ def scheme_from_dict(data: dict) -> Scheme:
     would otherwise equal 1), else ValueError names what differs.  So a
     multiset that names the wrong state, even a bisimilar one, is refused.
     The writer never writes a parenthesis, and refusing one keeps parsing
-    linear; the shape check before the closure and SYNTH_BUDGET bound the
+    linear; the shape check before the closure and WORK_BUDGET bound the
     work a hostile file can ask for.
     """
     try:
@@ -322,7 +319,7 @@ def scheme_from_dict(data: dict) -> Scheme:
         for field, value in scheme_to_dict(scheme).items():
             if value != data[field]:
                 raise ValueError(f"field {field!r} differs from the scheme rebuilt from the file")
-    except LimitError as exc:  # the closure outgrew the file's states or SYNTH_BUDGET
+    except LimitError as exc:  # the closure outgrew the file's states or WORK_BUDGET
         raise ValueError(f"field 'states' does not hold the polynomial's closure: {exc}") from None
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed scheme data: {exc}") from exc

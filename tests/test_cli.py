@@ -228,7 +228,7 @@ def test_check(tmp_path, capsys):
 def test_check_takes_no_histogram_charge(tmp_path, capsys):
     # 1+x mod 97: m = p - 1 = 96, so the default --nmax 128 would cost
     # 128 x 96 x 96 > MAX_STATE_VALUES as a histogram_prefix; check's limits
-    # are the value prefix's count x m and the brute-force WORK_BUDGET only
+    # are the value prefix's count x m and the work budget only
     path = tmp_path / "c97.json"
     assert main(["synth", "-p", "97", "--vars", "x", "--poly", "1+x", "-o", str(path)]) == 0
     assert main(["check", "--scheme", str(path)]) == 0
@@ -309,7 +309,7 @@ def test_load_past_the_closure_or_the_budget_is_invalid_input(tmp_path, capsys, 
     )
     # the toy's closure spends (1 + 2) state terms x (1 + 3) power terms,
     # plus 1 x 3 to build P^1: 15 term products
-    monkeypatch.setattr(poly_module, "SYNTH_BUDGET", 14)
+    monkeypatch.setattr(poly_module, "WORK_BUDGET", 14)
     assert main(["eval", "--scheme", str(path), "--n", "5"]) == 2
     assert capsys.readouterr() == (
         "",
@@ -317,7 +317,7 @@ def test_load_past_the_closure_or_the_budget_is_invalid_input(tmp_path, capsys, 
         "synthesis exceeded its budget of 14 term products\n",
     )
     assert main(["synth", "-p", "2", "--vars", "x", "--poly", "1+x+x^2"]) == 3
-    monkeypatch.setattr(poly_module, "SYNTH_BUDGET", 15)
+    monkeypatch.setattr(poly_module, "WORK_BUDGET", 15)
     assert main(["eval", "--scheme", str(path), "--n", "5"]) == 0
     assert capsys.readouterr().out.endswith("9\n")
 
@@ -536,11 +536,11 @@ def test_synth_refuses_a_long_literal_and_an_oversized_product(capsys, monkeypat
     assert captured.err.endswith(" digits (at position 2)\n")
     # (1+x)*(1+x)*(1+x) mod 2 spends 4 + 4 term products while parsing
     argv = ["synth", "-p", "2", "--vars", "x", "--poly", "(1+x)*(1+x)*(1+x)"]
-    monkeypatch.setattr(poly_module, "SYNTH_BUDGET", 7)
+    monkeypatch.setattr(poly_module, "WORK_BUDGET", 7)
     assert main(argv) == 3
     assert capsys.readouterr() == ("", "error: parsing exceeded its budget of 7 term products\n")
     # 8 fits the parse, and the closure, which reads the same budget, is refused
-    monkeypatch.setattr(poly_module, "SYNTH_BUDGET", 8)
+    monkeypatch.setattr(poly_module, "WORK_BUDGET", 8)
     assert main(argv) == 3
     assert capsys.readouterr() == ("", "error: synthesis exceeded its budget of 8 term products\n")
     monkeypatch.undo()

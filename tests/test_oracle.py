@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oncells.oracle as oracle
+import oncells.poly as poly_module
 import oncells.sequence as sequence
 from oncells import (
     CheckResult,
@@ -84,7 +85,7 @@ def _reference_expand(poly, seed, count):
 
     A plain dict convolution over exponent vectors packed mixed-radix into
     single ints: one product per pair of terms, len(current) * len(poly)
-    of them per step, the count WORK_BUDGET charges.
+    of them per step, the count brute force charges to WORK_BUDGET.
     """
     seed_spans, poly_spans = (
         [max(col) - min(col) for col in zip(*q.terms)] or [0] * len(q.vars) for q in (seed, poly)
@@ -121,9 +122,9 @@ def _assert_matches_reference(poly, seed, count):
     with pytest.MonkeyPatch.context() as patch:
         for k, (_, spent) in enumerate(steps[1:], 2):
             cost += spent
-            patch.setattr(oracle, "WORK_BUDGET", cost)
+            patch.setattr(poly_module, "WORK_BUDGET", cost)
             assert len(brute_values(poly, seed, k)) == k
-            patch.setattr(oracle, "WORK_BUDGET", cost - 1)
+            patch.setattr(poly_module, "WORK_BUDGET", cost - 1)
             with pytest.raises(LimitError):
                 brute_values(poly, seed, k)
 
@@ -248,9 +249,9 @@ def test_term_limit_guard(monkeypatch):
     # 1+x+x^2 mod 2: the steps to n = 1 and n = 2 cost 1*3 and 3*3 term products,
     # so 3 fit under a budget of 10 and 12 do not
     p2 = parse_poly("1+x+x^2", X, 2)
-    monkeypatch.setattr(oracle, "WORK_BUDGET", 10)
+    monkeypatch.setattr(poly_module, "WORK_BUDGET", 10)
     assert brute_values(p2, ModPoly.one(2, X), 2) == [1, 3]
-    with pytest.raises(LimitError):
+    with pytest.raises(LimitError, match="^brute force exceeded its budget of 10 term products$"):
         brute_values(p2, ModPoly.one(2, X), 3)
     with pytest.raises(LimitError):
         brute_histograms(p2, ModPoly.one(2, X), 100)
@@ -277,7 +278,7 @@ def test_budget_covers_the_whole_verification(toy, monkeypatch):
         brute_values(toy.poly, q, 16)
         costs.append(sum(products))
     assert costs == [sum(s for _, s in _reference_expand(toy.poly, q, 16)) for q in toy.states]
-    monkeypatch.setattr(oracle, "WORK_BUDGET", max(costs))
+    monkeypatch.setattr(poly_module, "WORK_BUDGET", max(costs))
     for q in toy.states:
         brute_values(toy.poly, q, 16)
     with pytest.raises(LimitError):
@@ -300,9 +301,9 @@ def test_verify_scheme_budget_edge_matches_reference(corpus, monkeypatch):
     # products over every state's chain, and not one less
     for _, _, _, s in corpus:
         cost = sum(spent for q in s.states for _, spent in _reference_expand(s.poly, q, 16))
-        monkeypatch.setattr(oracle, "WORK_BUDGET", cost)
+        monkeypatch.setattr(poly_module, "WORK_BUDGET", cost)
         assert verify_scheme(s, 16).ok
-        monkeypatch.setattr(oracle, "WORK_BUDGET", cost - 1)
+        monkeypatch.setattr(poly_module, "WORK_BUDGET", cost - 1)
         with pytest.raises(LimitError):
             verify_scheme(s, 16)
 

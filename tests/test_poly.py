@@ -80,13 +80,13 @@ def test_parse_errors():
 def test_parse_budget_edge(monkeypatch):
     # (1+x)*(1+x) spends 2 * 2; its square 1+x^2 (mod 2) times 1+x spends 2 * 2 more
     text = "(1+x)*(1+x)*(1+x)"
-    monkeypatch.setattr(poly_module, "SYNTH_BUDGET", 8)
+    monkeypatch.setattr(poly_module, "WORK_BUDGET", 8)
     assert parse_poly(text, X, 2) == parse_poly("1+x+x^2+x^3", X, 2)
-    monkeypatch.setattr(poly_module, "SYNTH_BUDGET", 7)
+    monkeypatch.setattr(poly_module, "WORK_BUDGET", 7)
     with pytest.raises(LimitError, match="^parsing exceeded its budget of 7 term products$"):
         parse_poly(text, X, 2)
     # each '*' inside a monomial charges 1 * 1, and a sum charges nothing
-    monkeypatch.setattr(poly_module, "SYNTH_BUDGET", 3)
+    monkeypatch.setattr(poly_module, "WORK_BUDGET", 3)
     assert parse_poly("1+x*x+2*x*x^2", X, 3) == parse_poly("1+x^2+2*x^3", X, 3)
 
 

@@ -29,6 +29,7 @@ from oncells import (
     synthesize,
     terms_prefix,
 )
+import oncells.oracle as oracle_module
 import oncells.poly as poly_module
 import oncells.scheme as scheme_module
 from oncells.genfun import _fit
@@ -472,10 +473,10 @@ def _synthesis_need(scheme) -> int:
 )
 def test_synthesis_budget_edge(poly, q0, monkeypatch):
     need = _synthesis_need(synthesize(poly, q0))
-    monkeypatch.setattr(poly_module, "SYNTH_BUDGET", need)
+    monkeypatch.setattr(poly_module, "WORK_BUDGET", need)
     text = scheme_to_json(synthesize(poly, q0))
     assert scheme_from_json(text) == synthesize(poly, q0)  # a load spends the same
-    monkeypatch.setattr(poly_module, "SYNTH_BUDGET", need - 1)
+    monkeypatch.setattr(poly_module, "WORK_BUDGET", need - 1)
     with pytest.raises(LimitError, match=f"budget of {need - 1} term products"):
         synthesize(poly, q0)
     with pytest.raises(ValueError, match=f"^field 'states' .*budget of {need - 1} term products$"):
@@ -483,14 +484,20 @@ def test_synthesis_budget_edge(poly, q0, monkeypatch):
 
 
 def test_one_budget_bounds_parse_and_closure(monkeypatch):
-    # oncells.poly.SYNTH_BUDGET is the one binding: a single patch refuses
-    # both the parser's 4 + 4 term products and the toy closure's 15
-    assert "SYNTH_BUDGET" not in vars(scheme_module)
-    monkeypatch.setattr(poly_module, "SYNTH_BUDGET", 7)
+    # oncells.poly.WORK_BUDGET is the one binding: a single patch refuses the
+    # parser's 4 + 4 term products, the toy closure's 15 and brute force's
+    # 1 x 3 + 3 x 3 for the toy's first three values
+    for module in (scheme_module, oracle_module):
+        assert not {"SYNTH_BUDGET", "WORK_BUDGET"} & set(vars(module))
+    assert "SYNTH_BUDGET" not in vars(poly_module)
+    monkeypatch.setattr(poly_module, "WORK_BUDGET", 7)
     with pytest.raises(LimitError, match="^parsing exceeded its budget of 7 term products$"):
         parse_poly("(1+x)*(1+x)*(1+x)", X, 2)
+    toy = parse_poly("1+x+x^2", X, 2)
     with pytest.raises(LimitError, match="^synthesis exceeded its budget of 7 term products$"):
-        synthesize(parse_poly("1+x+x^2", X, 2))
+        synthesize(toy)
+    with pytest.raises(LimitError, match="^brute force exceeded its budget of 7 term products$"):
+        brute_values(toy, ModPoly.one(2, X), 3)
 
 
 def test_synthesis_budget_fits_the_largest_closures():
@@ -500,7 +507,7 @@ def test_synthesis_budget_fits_the_largest_closures():
         return (p - 1) * p * (p + 1) // 2 + p * (p - 1)
 
     assert _synthesis_need(synthesize(parse_poly("1+x", X, 97))) == need(97)
-    assert need(257) < poly_module.SYNTH_BUDGET
+    assert need(257) < poly_module.WORK_BUDGET
     # the 5x5 block minus its centre, mod 2
     block = {(i, j): 1 for i in range(5) for j in range(5) if (i, j) != (2, 2)}
     s = synthesize(ModPoly(2, ("x", "y"), block))
